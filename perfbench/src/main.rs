@@ -89,7 +89,7 @@ fn main() -> ExitCode {
         seed: args.seed,
         window: Duration::from_secs(args.seconds),
         warmup: Duration::from_millis(500),
-        setups: 15,
+        setups: 30,
         drain: Duration::from_secs(30),
         tmp: tmp_root.join(format!("run-{}", std::process::id())),
     };
@@ -131,5 +131,9 @@ fn main() -> ExitCode {
     let attempted = passes.iter().map(|p| p.attempted()).sum();
     let failed = passes.iter().map(|p| p.failed()).sum();
     println!("{}", report::json(correct, attempted, failed, &metrics));
-    ExitCode::SUCCESS
+    if correct {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -84,25 +84,16 @@ pub fn end_to_end(p: &Pass) -> Vec<Metric> {
     ]
 }
 
-/// Tail figures of a pass: each is the median, over every group of 1000
-/// consecutive messages of every trial, of the group's p99.
+/// Tail figures of a pass: medians over its trials of each trial's p99.
 fn tails(p: &Pass) -> [Metric; 3] {
-    let (lat, lat_n) = p.group_median(|t| &t.lat_groups);
-    let (all, all_n) = p.group_median(|t| &t.lat_all_groups);
-    let (lag, lag_n) = p.group_median(|t| &t.gen_lag_groups);
+    let p99 = |f: fn(&Trial) -> &Hist, name| Metric {
+        samples: Some(p.trials.iter().map(|t| f(t).count()).sum()),
+        ..m(name, "ms", p.median_of(|t| f(t).quantile(0.99)) / 1e6)
+    };
     [
-        Metric {
-            samples: Some(lat_n),
-            ..m("workload.lat_p99_ms", "ms", lat / 1e6)
-        },
-        Metric {
-            samples: Some(all_n),
-            ..m("workload.lat_all_p99_ms", "ms", all / 1e6)
-        },
-        Metric {
-            samples: Some(lag_n),
-            ..m("workload.gen_lag_p99_ms", "ms", lag / 1e6)
-        },
+        p99(|t| &t.lat, "workload.lat_p99_ms"),
+        p99(|t| &t.lat_all, "workload.lat_all_p99_ms"),
+        p99(|t| &t.gen_lag, "workload.gen_lag_p99_ms"),
     ]
 }
 
@@ -323,6 +314,7 @@ pub fn per_layer(l: &Layers<'_>) -> Vec<Metric> {
             b.median_of(|t| t.reconnect_ns.unwrap_or(0) as f64) / 1e6,
         ),
         m("net.reconnects", "count", b.sum(|t| t.reconnects as f64)),
+        m("net.frames_shed", "count", b.sum(|t| t.frames_shed as f64)),
         m("types.encode_ns.ordering", "ns", enc_o),
         m("types.encode_ns.bulk", "ns", enc_b),
         m("types.decode_ns.ordering", "ns", dec_o),

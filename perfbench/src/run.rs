@@ -70,7 +70,7 @@ pub struct Workload {
 
 /// Every workload of the benchmark. Why each exists is recorded in
 /// `BENCHMARK.json` and the README next to this file.
-pub const WORKLOADS: [Workload; 4] = [
+pub const WORKLOADS: [Workload; 5] = [
     Workload {
         name: "paced-64b-n3",
         n: 3,
@@ -78,7 +78,9 @@ pub const WORKLOADS: [Workload; 4] = [
         load: Load::Open { rate: 10_000.0 },
         durable: false,
         partition: false,
-        trials: 5,
+        // Latency varies from cluster to cluster about as much as from
+        // run to run; the median of many short trials damps it.
+        trials: 10,
         rss_after: 25_000,
     },
     Workload {
@@ -94,20 +96,38 @@ pub const WORKLOADS: [Workload; 4] = [
         rss_after: 40_000,
     },
     Workload {
-        name: "durable-n5",
-        n: 5,
+        name: "durable-n3",
+        n: 3,
         payload: 256,
-        load: Load::Open { rate: 4_000.0 },
+        load: Load::Open { rate: 8_000.0 },
         durable: true,
         partition: false,
-        trials: 5,
+        trials: 10,
         rss_after: 10_000,
     },
+    // Each majority-side link to p0 carries about two thirds of the
+    // payload frames. At this rate the frames parked for p0 over the
+    // isolation and the reconnect back-off (under 4 s) stay well below
+    // the transport's 1024-frame shed watermark, so nothing is shed.
     Workload {
         name: "partition-n3",
         n: 3,
         payload: 64,
-        load: Load::Open { rate: 500.0 },
+        load: Load::Open { rate: 300.0 },
+        durable: false,
+        partition: true,
+        trials: 2,
+        rss_after: 4_000,
+    },
+    // Not in `BENCHMARK.json`: it reproduces a known liveness defect.
+    // Five times the rate of `partition-n3` overflows the shed watermark
+    // while p0 is cut off; the shed payloads are never re-sent and p0
+    // stops delivering (operations fail, `net.frames_shed` > 0).
+    Workload {
+        name: "partition-shed-n3",
+        n: 3,
+        payload: 64,
+        load: Load::Open { rate: 1_500.0 },
         durable: false,
         partition: true,
         trials: 2,
@@ -132,55 +152,16 @@ pub struct Config {
     pub tmp: PathBuf,
 }
 
-/// How long `partition-n3` cuts p0 off: past the failure detector's 2 s
-/// timeout, so the majority side suspects p0 and changes rounds, with
-/// about a second of majority-only service before the heal.
+/// How long the partition workloads cut p0 off: past the failure
+/// detector's 2 s timeout, so the majority side suspects p0 and changes
+/// rounds, with about a second of majority-only service before the heal.
 const ISOLATION: Duration = Duration::from_secs(3);
 
-/// The isolation window of `partition-n3`, relative to the cluster's
-/// start: it opens a fifth into the trial's measured window.
+/// The isolation window of a partition workload, relative to the
+/// cluster's start: it opens a fifth into the trial's measured window.
 fn isolation(warmup: Duration, window: Duration) -> (Duration, Duration) {
     let from = warmup + window / 5;
     (from, from + ISOLATION)
-}
-
-/// Messages per latency group: the p99 of a group has ten samples
-/// beyond it.
-const GROUP: u64 = 1000;
-
-/// Tail latency by groups of [`GROUP`] consecutive messages (in issue
-/// order). A group's p99 is taken once all of its samples are in, and
-/// only its p99 is kept, so memory stays bounded by the groups still
-/// waiting for deliveries.
-#[derive(Debug, Default)]
-pub struct Groups {
-    active: std::collections::BTreeMap<u64, (Hist, u64)>,
-    /// p99 of every complete group.
-    pub p99: Vec<f64>,
-    /// Samples recorded.
-    pub samples: u64,
-}
-
-impl Groups {
-    /// One more sample is expected in group `g`.
-    fn expect(&mut self, g: u64) {
-        self.active.entry(g).or_insert_with(|| (Hist::new(), 0)).1 += 1;
-    }
-
-    /// Records a sample of group `g`; the group closes once it holds
-    /// [`GROUP`] samples and none is outstanding.
-    fn record(&mut self, g: u64, v: u64) {
-        self.samples += 1;
-        let Some((h, pending)) = self.active.get_mut(&g) else {
-            return;
-        };
-        h.record(v);
-        *pending -= 1;
-        if *pending == 0 && h.count() == GROUP {
-            self.p99.push(h.quantile(0.99));
-            self.active.remove(&g);
-        }
-    }
 }
 
 /// The median of `v` (0 when empty).
@@ -205,12 +186,8 @@ pub struct Trial {
     pub lat: Hist,
     /// Latency to the last process's delivery (ns).
     pub lat_all: Hist,
-    /// Origin latency, by groups.
-    pub lat_groups: Groups,
-    /// Latency to the last process's delivery, by groups.
-    pub lat_all_groups: Groups,
-    /// Generator lateness against the schedule, by groups.
-    pub gen_lag_groups: Groups,
+    /// Generator lateness against the schedule (ns).
+    pub gen_lag: Hist,
     /// Longest interval with commands due and no majority-side delivery.
     pub outage_ns: u64,
     /// Thread CPU and context switches over the window.
@@ -228,6 +205,8 @@ pub struct Trial {
     pub reconnect_ns: Option<u64>,
     /// Reconnects reported by the transport.
     pub reconnects: u64,
+    /// Frames the transport shed while a link was down.
+    pub frames_shed: u64,
     /// Origin latency of the first messages due in the window.
     pub origin_lat: Vec<(MsgId, u64)>,
     /// `VmHWM` once `Workload::rss_after` messages were issued.
@@ -286,16 +265,6 @@ impl Pass {
     /// The median over trials of `f`.
     pub fn median_of(&self, f: impl Fn(&Trial) -> f64) -> f64 {
         median(&self.trials.iter().map(f).collect::<Vec<_>>())
-    }
-
-    /// The median over every complete group of every trial.
-    pub fn group_median(&self, f: impl Fn(&Trial) -> &Groups) -> (f64, u64) {
-        let all: Vec<f64> = self
-            .trials
-            .iter()
-            .flat_map(|t| f(t).p99.iter().copied())
-            .collect();
-        (median(&all), self.trials.iter().map(|t| f(t).samples).sum())
     }
 
     /// Sum over trials of `f`.
@@ -375,8 +344,8 @@ pub fn run_pass(w: &Workload, cfg: &Config, tracer: Option<&Arc<Tracer>>) -> Pas
 #[derive(Debug)]
 struct Flight {
     due: Instant,
-    /// Latency group; `None` when due outside the window.
-    group: Option<u64>,
+    /// Due inside the measured window.
+    measured: bool,
     delivered: u16,
     majority: bool,
 }
@@ -398,13 +367,9 @@ struct Gen<'a> {
     w1: Instant,
     closed: bool,
     issuing: bool,
-    /// Messages issued with a due time inside the window.
-    in_window_issued: u64,
     lat: Hist,
     lat_all: Hist,
-    lat_groups: Groups,
-    lat_all_groups: Groups,
-    gen_lag_groups: Groups,
+    gen_lag: Hist,
     delivered: Vec<u64>,
     last_majority: Option<Instant>,
     outage: Duration,
@@ -429,28 +394,21 @@ impl Gen<'_> {
         if let Some(t) = self.tracer {
             t.note_due(id, due);
         }
-        let group = self.in_window(due).then(|| {
-            let g = self.in_window_issued / GROUP;
-            self.in_window_issued += 1;
-            self.lat_groups.expect(g);
-            self.lat_all_groups.expect(g);
-            self.gen_lag_groups.expect(g);
-            g
-        });
+        let measured = self.in_window(due);
         self.flights.insert(
             id,
             Flight {
                 due,
-                group,
+                measured,
                 delivered: 0,
                 majority: false,
             },
         );
         self.order.push_back(id);
         let payload = self.gate.payloads().make(id);
-        if let Some(g) = group {
+        if measured {
             let lag = Instant::now().saturating_duration_since(due);
-            self.gen_lag_groups.record(g, lag.as_nanos() as u64);
+            self.gen_lag.record(lag.as_nanos() as u64);
         }
         cluster.send_command(origin, AbcastCommand::Broadcast(payload));
         self.attempted += 1;
@@ -494,16 +452,15 @@ impl Gen<'_> {
                 continue; // a duplicate; the checker reports it
             }
             f.delivered |= bit;
-            let (due, group) = (f.due, f.group);
+            let (due, measured) = (f.due, f.measured);
             let done = f.delivered == all;
             if done {
                 self.flights.remove(&id);
             }
             let lat = t.saturating_duration_since(due).as_nanos() as u64;
             if id.sender().as_usize() == p {
-                if let Some(g) = group {
+                if measured {
                     self.lat.record(lat);
-                    self.lat_groups.record(g, lat);
                     if self.origin_lat.len() < 4096 {
                         self.origin_lat.push((id, lat));
                     }
@@ -512,9 +469,8 @@ impl Gen<'_> {
                     self.issue(cluster, id.sender(), t);
                 }
             }
-            if let (true, Some(g)) = (done, group) {
+            if done && measured {
                 self.lat_all.record(lat);
-                self.lat_all_groups.record(g, lat);
             }
         }
     }
@@ -737,12 +693,9 @@ where
         w1,
         closed: matches!(w.load, Load::Closed { .. }),
         issuing: true,
-        in_window_issued: 0,
         lat: Hist::new(),
         lat_all: Hist::new(),
-        lat_groups: Groups::default(),
-        lat_all_groups: Groups::default(),
-        gen_lag_groups: Groups::default(),
+        gen_lag: Hist::new(),
         delivered: vec![0; n],
         last_majority: None,
         outage: Duration::ZERO,
@@ -757,7 +710,7 @@ where
         probe,
         Flight {
             due: started,
-            group: None,
+            measured: false,
             delivered: 0,
             majority: false,
         },
@@ -829,7 +782,9 @@ where
             poll_reconnect(&cluster, heal, &mut reconnect_ns);
         }
     }
-    let reconnects = cluster.fault_reports().iter().map(|r| r.reconnects).sum();
+    let reports = cluster.fault_reports();
+    let reconnects = reports.iter().map(|r| r.reconnects).sum();
+    let frames_shed = reports.iter().map(|r| r.frames_shed).sum();
     cluster.shutdown();
 
     let verdict = g.gate.verdict();
@@ -842,9 +797,7 @@ where
         failed: (g.flights.len() as u64 + verdict.mismatches).min(g.attempted),
         lat: g.lat,
         lat_all: g.lat_all,
-        lat_groups: g.lat_groups,
-        lat_all_groups: g.lat_all_groups,
-        gen_lag_groups: g.gen_lag_groups,
+        gen_lag: g.gen_lag,
         outage_ns: g.outage.as_nanos() as u64,
         usage: u1.0.since(&u0),
         usage_s: u1.1.saturating_duration_since(t_u0).as_secs_f64(),
@@ -852,6 +805,7 @@ where
         verdict,
         reconnect_ns,
         reconnects,
+        frames_shed,
         origin_lat: g.origin_lat,
         peak_rss_mib: g.peak_rss_mib.unwrap_or_else(procstat::peak_rss_mib),
     }

@@ -11,7 +11,9 @@
 //!
 //! * **flood** ends when the id is first available at the process whose
 //!   proposal first carried it: an RB `Data`/`Relay` arriving there, or
-//!   the origin's own command when that process proposed it;
+//!   the origin's own command when that process proposed it. A
+//!   coordinator may propose ids it does not hold yet (from an estimate
+//!   it adopted); then the flood ends at the id's first arrival anywhere;
 //! * **gate** ends when that coordinator emits the `CtProposal`;
 //! * **consensus** ends when the origin first sends or receives `Decide`
 //!   for the instance that ordered the id;
@@ -444,9 +446,12 @@ impl State {
             return;
         };
         // The flood ends at the proposer's first sight of the id; when the
-        // proposer never held it (a later-round coordinator may relay ids
-        // it has not received), at the first sight anywhere.
-        let flood_end = if l.gate_proc < MAX_N && l.arrive[l.gate_proc] != 0 {
+        // proposer did not hold it yet (a coordinator may propose an
+        // estimate adopted from another process, or a later-round
+        // coordinator relay ids it has not received), at the first sight
+        // anywhere.
+        let held = |a: u64| a != 0 && a <= l.gate;
+        let flood_end = if l.gate_proc < MAX_N && held(l.arrive[l.gate_proc]) {
             l.arrive[l.gate_proc]
         } else {
             l.arrive

@@ -145,12 +145,22 @@ fn stage_ledger_adds_up_to_the_origin_latency() {
             row.latency
         );
         assert!(
-            seen <= row.latency + 100_000_000,
+            seen <= row.latency + 2_000_000,
             "{:?}: generator {seen} ns, ledger {} ns",
             row.id,
             row.latency
         );
     }
+    // The stages sum to the latency by construction, because every
+    // stage end is clamped into order; what shows a misattributed stage
+    // is how often that clamp had to move an end.
+    assert_eq!(
+        stats.clamped,
+        0,
+        "{} of {} ledger rows had stage ends out of order",
+        stats.clamped,
+        stats.latency.count()
+    );
     assert_eq!(stats.suspicion_round_changes, 0);
 }
 
