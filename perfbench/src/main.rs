@@ -118,11 +118,22 @@ fn main() -> ExitCode {
     let _ = std::fs::remove_dir_all(&cfg.tmp);
     let _ = std::fs::remove_dir(&tmp_root); // only when no other run uses it
     for p in &passes {
+        let kept = p.kept();
         for t in &p.trials {
             let v = &t.verdict;
             println!(
                 "gate: attempted {} failed {} safety {} incomplete {} mismatches {}",
                 t.attempted, t.failed, v.safety, v.incomplete, v.mismatches
+            );
+            println!(
+                "trial: lat_p50_ms {:.4} cpu_ms_per_kmsg {:.1}{}",
+                t.lat.quantile(0.5) / 1e6,
+                t.cpu_ms_per_kmsg(),
+                if kept.iter().any(|k| std::ptr::eq(*k, t)) {
+                    " (kept)"
+                } else {
+                    ""
+                }
             );
         }
     }

@@ -56,10 +56,11 @@ fn ratio(a: f64, b: f64) -> f64 {
     }
 }
 
-/// The end-to-end metrics of an untraced pass: medians over its trials.
+/// The end-to-end metrics of an untraced pass: medians over its kept
+/// trials.
 pub fn end_to_end(p: &Pass) -> Vec<Metric> {
-    let lat_n = p.trials.iter().map(|t| t.lat.count()).sum();
-    let all_n = p.trials.iter().map(|t| t.lat_all.count()).sum();
+    let lat_n = p.kept().iter().map(|t| t.lat.count()).sum();
+    let all_n = p.kept().iter().map(|t| t.lat_all.count()).sum();
     vec![
         m("setup_s", "s", median(&p.setup_s)),
         m("goodput_msgs_s", "msgs/s", p.median_of(Trial::goodput)),
@@ -84,16 +85,27 @@ pub fn end_to_end(p: &Pass) -> Vec<Metric> {
     ]
 }
 
-/// Tail figures of a pass: medians over its trials of each trial's p99.
-fn tails(p: &Pass) -> [Metric; 3] {
+/// Tail figures of a pass: medians over its kept trials of each trial's
+/// p99. Also the p50 over every trial, kept or not, which shows how far
+/// the host slowed the trials the end-to-end figures leave out.
+fn tails(p: &Pass) -> [Metric; 4] {
     let p99 = |f: fn(&Trial) -> &Hist, name| Metric {
-        samples: Some(p.trials.iter().map(|t| f(t).count()).sum()),
+        samples: Some(p.kept().iter().map(|t| f(t).count()).sum()),
         ..m(name, "ms", p.median_of(|t| f(t).quantile(0.99)) / 1e6)
     };
+    let every: Vec<f64> = p.trials.iter().map(|t| t.lat.quantile(0.5)).collect();
     [
         p99(|t| &t.lat, "workload.lat_p99_ms"),
         p99(|t| &t.lat_all, "workload.lat_all_p99_ms"),
         p99(|t| &t.gen_lag, "workload.gen_lag_p99_ms"),
+        Metric {
+            samples: Some(p.trials.iter().map(|t| t.lat.count()).sum()),
+            ..m(
+                "workload.lat_p50_every_trial_ms",
+                "ms",
+                median(&every) / 1e6,
+            )
+        },
     ]
 }
 
