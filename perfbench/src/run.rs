@@ -166,7 +166,7 @@ fn isolation(warmup: Duration, window: Duration) -> (Duration, Duration) {
 
 /// How many trials of a pass its figures come from. A stretch in which
 /// the host runs other tenants' work on this machine's vCPUs puts a trial
-/// into a regime several times slower (p50 ×4–10, with less CPU per
+/// into a regime several times slower (p50 ×2–10, with less CPU per
 /// message as batches grow); such stretches last from seconds to
 /// minutes, so the median over all trials flips with them. The program
 /// itself slows every trial alike, so the fastest trials still show it.
