@@ -9,6 +9,11 @@
 //! over-approximation (method-name collisions create edges that do not
 //! exist at runtime), which keeps the analysis conservative: it can
 //! produce a spurious edge, never miss a real one within the workspace.
+//! The one refinement: a call on `self` itself (`self.name(…)`) resolves
+//! to the enclosing impl's own method when the workspace defines one —
+//! and then it is that workspace call, not the blocking syscall of the
+//! same name (`self.accept(m)` in a broadcast layer is not a socket
+//! `accept`).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -54,6 +59,9 @@ pub struct CallSite {
     /// resolved to the enclosing impl type). `None` for method-call and
     /// free-function syntax.
     pub qual: Option<String>,
+    /// The enclosing impl type, for a method call on `self` itself
+    /// (`self.name(…)`, not `self.field.name(…)`).
+    pub self_qual: Option<String>,
     /// 1-based source line.
     pub line: usize,
     /// Lock names whose guards are live at the call.
@@ -83,6 +91,9 @@ pub struct BlockSite {
     /// idiomatic own-guard condvar wait this excludes the waited guard's
     /// lock — `Condvar::wait` releases it for the duration.
     pub held: Vec<String>,
+    /// Called on `self` itself: [`CallGraph::build`] drops the site if the
+    /// enclosing impl defines a method of that name.
+    pub on_self: bool,
 }
 
 /// A panic-capable construct (for call-graph-aware P1).
@@ -210,6 +221,11 @@ pub fn extract_fn_info(
         }
 
         let is_method = k > open && code[k - 1].is_punct(".");
+        // `self.name(…)` — the receiver is `self` itself, not a field.
+        let on_self = is_method
+            && k >= open + 3
+            && code[k - 2].is_ident("self")
+            && !code[k - 3].is_punct(".");
         let next_is_call = code.get(k + 1).is_some_and(|x| x.is_punct("("));
         let next_is_bang = code.get(k + 1).is_some_and(|x| x.is_punct("!"));
 
@@ -292,7 +308,7 @@ pub fn extract_fn_info(
             } else {
                 format!("cross-object `.{}()` on `{cv}`", t.text)
             };
-            info.blocking.push(BlockSite { op, line: t.line, held: held_across });
+            info.blocking.push(BlockSite { op, line: t.line, held: held_across, on_self: false });
             k += 2;
             continue;
         }
@@ -303,6 +319,7 @@ pub fn extract_fn_info(
                 op: t.text.clone(),
                 line: t.line,
                 held: held(&guards),
+                on_self,
             });
             // Fall through: also record it as a call, in case a workspace
             // function shares the name.
@@ -328,6 +345,7 @@ pub fn extract_fn_info(
             info.calls.push(CallSite {
                 name: t.text.clone(),
                 qual,
+                self_qual: if on_self { item.qualifier.clone() } else { None },
                 line: t.line,
                 held: held(&guards),
             });
@@ -396,8 +414,19 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Builds the graph; call resolution is by simple name.
-    pub fn build(fns: Vec<FnInfo>) -> Self {
+    /// Builds the graph; call resolution is by simple name. A blocking
+    /// operation called on `self` itself whose name is a method of the
+    /// enclosing impl is that workspace method, not the syscall: its
+    /// blocking site is dropped, and the call edge stays.
+    pub fn build(mut fns: Vec<FnInfo>) -> Self {
+        let methods: BTreeSet<(String, String)> = fns
+            .iter()
+            .filter_map(|f| Some((f.qualifier.clone()?, f.name.clone())))
+            .collect();
+        for f in &mut fns {
+            let Some(q) = f.qualifier.clone() else { continue };
+            f.blocking.retain(|b| !(b.on_self && methods.contains(&(q.clone(), b.op.clone()))));
+        }
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(f.name.clone()).or_default().push(i);
@@ -418,9 +447,22 @@ impl CallGraph {
     /// workspace edges), while a single-letter qualifier is treated as a
     /// generic type parameter (`M::decode`) and falls back to name-only
     /// resolution — dropping those edges would un-conservatively hide
-    /// every trait impl called through a generic.
+    /// every trait impl called through a generic. A call on `self` itself
+    /// resolves to the enclosing impl's own method when the workspace
+    /// has one, and falls back to name-only resolution when it does not
+    /// (a trait's default method, say).
     pub fn resolve_call(&self, c: &CallSite) -> Vec<usize> {
         let by_name = self.resolve(&c.name);
+        if let Some(q) = &c.self_qual {
+            let own: Vec<usize> = by_name
+                .iter()
+                .copied()
+                .filter(|&i| self.fns[i].qualifier.as_deref() == Some(q.as_str()))
+                .collect();
+            if !own.is_empty() {
+                return own;
+            }
+        }
         match &c.qual {
             Some(q) if q.len() > 1 => by_name
                 .iter()
@@ -703,6 +745,35 @@ fn uses_generic(x: u8) { let m = M::decode(x); }\n";
         let gen_call = &g.fns[4].calls[0];
         assert_eq!(gen_call.qual.as_deref(), Some("M"));
         assert!(g.resolve_call(gen_call).is_empty());
+    }
+
+    #[test]
+    fn self_calls_resolve_to_the_enclosing_impl_and_are_not_syscalls() {
+        let src = "\
+impl Relay { fn accept(&mut self, m: u8) { self.seen.push(m); } }\n\
+impl Broadcast for Relay { fn on_message(&mut self, m: u8) { self.accept(m); } }\n\
+impl Other { fn accept(&mut self) { x.sleep(); } }\n\
+impl Server { fn take(&self) { self.listener.accept(); } }\n\
+impl Bare { fn poll(&self) { self.accept(); } }\n";
+        let g = CallGraph::build(infos("crates/x/src/s.rs", src));
+        let on_message = g.fns.iter().position(|f| f.name == "on_message").unwrap();
+        // `self.accept` in Relay's trait impl is Relay's own method: no
+        // blocking site, and the edge leads to Relay::accept only.
+        assert!(g.fns[on_message].blocking.is_empty(), "{:?}", g.fns[on_message].blocking);
+        let call = &g.fns[on_message].calls[0];
+        assert_eq!(call.self_qual.as_deref(), Some("Relay"));
+        let targets = g.resolve_call(call);
+        assert_eq!(targets.len(), 1);
+        assert_eq!(g.fns[targets[0]].qualifier.as_deref(), Some("Relay"));
+        let blk = g.transitive_blocking();
+        assert!(blk[on_message].is_none(), "{:?}", blk[on_message]);
+        // A field's `accept` is still the socket call.
+        let take = g.fns.iter().position(|f| f.name == "take").unwrap();
+        assert_eq!(g.fns[take].blocking.len(), 1);
+        // `self.accept()` with no such method in the enclosing impl stays
+        // a blocking op.
+        let bare = g.fns.iter().position(|f| f.name == "poll").unwrap();
+        assert_eq!(g.fns[bare].blocking.len(), 1);
     }
 
     #[test]

@@ -182,6 +182,22 @@ fn e1_good_is_quiet() {
 }
 
 #[test]
+fn e1_self_accept_is_the_impls_own_method_not_the_socket_call() {
+    let f = flow_findings("crates/net/src/event_loop.rs", include_str!("fixtures/e1_accept_good.rs"));
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
+fn e1_listener_accept_still_fires() {
+    let f = flow_findings("crates/net/src/event_loop.rs", include_str!("fixtures/e1_accept_bad.rs"));
+    assert_only_rule(&f, "E1");
+    // listener.accept(), self.listener.accept(), self.inner.accept() in
+    // Gate's own accept, and admit's call into that blocking method.
+    let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![12, 16, 26, 30], "{f:?}");
+}
+
+#[test]
 fn e1_out_of_scope_is_quiet() {
     // The same blocking code outside the event-loop module set is not
     // E1's business (the threaded control transport blocks by design).

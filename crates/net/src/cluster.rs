@@ -16,10 +16,10 @@ enum Input<M, C> {
     Stop,
 }
 
-/// A pending wall-clock timer.
-struct PendingTimer {
-    due: Instant,
-    timer: TimerId,
+/// A pending wall-clock timer (ordered as a min-heap entry by due time).
+pub(crate) struct PendingTimer {
+    pub(crate) due: Instant,
+    pub(crate) timer: TimerId,
 }
 
 impl PartialEq for PendingTimer {
@@ -122,20 +122,7 @@ where
 
     /// Collects outputs for (wall-clock) `dur`, then returns them.
     pub fn run_for(&mut self, dur: std::time::Duration) -> Vec<NetOutput<N::Output>> {
-        let deadline = Instant::now() + dur;
-        let mut out = Vec::new();
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.outputs.recv_timeout(deadline - now) {
-                Ok(rec) => out.push(rec),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        out
+        collect_outputs(&self.outputs, usize::MAX, dur)
     }
 
     /// Collects outputs until `count` have arrived or `timeout` elapses —
@@ -148,20 +135,7 @@ where
         count: usize,
         timeout: std::time::Duration,
     ) -> Vec<NetOutput<N::Output>> {
-        let deadline = Instant::now() + timeout;
-        let mut out = Vec::with_capacity(count);
-        while out.len() < count {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.outputs.recv_timeout(deadline - now) {
-                Ok(rec) => out.push(rec),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        out
+        collect_outputs(&self.outputs, count, timeout)
     }
 
     /// Stops all node threads and waits for them.
@@ -173,6 +147,28 @@ where
             let _ = h.join();
         }
     }
+}
+
+/// Receives outputs until `count` have arrived, `timeout` elapses, or
+/// every sender is gone.
+pub(crate) fn collect_outputs<O>(
+    outputs: &Receiver<NetOutput<O>>,
+    count: usize,
+    timeout: std::time::Duration,
+) -> Vec<NetOutput<O>> {
+    let deadline = Instant::now() + timeout;
+    let mut out = Vec::new();
+    while out.len() < count {
+        let now = Instant::now();
+        if now >= deadline {
+            break;
+        }
+        match outputs.recv_timeout(deadline - now) {
+            Ok(rec) => out.push(rec),
+            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    out
 }
 
 fn node_loop<N>(

@@ -1,52 +1,62 @@
-//! The per-process event loop of the TCP transport.
+//! The per-process event loop of the TCP transport, hosting that
+//! process's node.
 //!
-//! One thread per process owns *all* of that process's socket I/O: the
-//! `n-1` inbound streams (peers → us), the `n-1` outbound streams (us →
-//! peers), the process's listener (mid-run re-accepts), and a wake
-//! channel. Nothing here ever blocks — the loop parks only in
-//! [`Poller::wait`] with a bounded timeout, reads, writes, accepts, and
-//! loop-back connects are nonblocking (`WouldBlock` re-arms interest
-//! instead of parking a thread), and the outbound queues are drained with
-//! the nonblocking [`PeerQueue::try_take_batch`]. Lint rule `E1` enforces
-//! this shape mechanically: the only sanctioned kernel doorway is
-//! [`crate::poll`].
+//! One thread per process (`iabc-io-<p>`) owns *everything* the process
+//! does: its node's handlers, the node's timers, the `n-1` inbound
+//! streams (peers → us), the `n-1` outbound streams (us → peers), the
+//! process's listener (mid-run re-accepts), and a command channel whose
+//! doorbell is the [`Waker`]. Nothing here ever blocks on the network —
+//! the loop parks only in [`Poller::wait`] with a bounded timeout; reads,
+//! writes, accepts and loop-back connects are nonblocking (`WouldBlock`
+//! re-arms interest instead of parking a thread); and the outbound queues
+//! are pushed and drained without waiting ([`PeerQueue::push_nowait`],
+//! [`PeerQueue::try_take_batch`]). Lint rule `E1` enforces this shape
+//! mechanically: the only sanctioned kernel doorway is [`crate::poll`].
+//! The one exception is the node's own storage: a durable decided log or
+//! pending store does its file I/O inside the handlers, on this thread.
 //!
-//! # Receive path (decode in place)
+//! # One pass
 //!
-//! Each inbound stream reads directly into a pooled [`RecvBuffer`]; frames
-//! are decoded in place from the arena the kernel wrote
-//! ([`iabc_types::Decode::decode_in_place`]) and handed straight to the
-//! node's injector — no re-assembly copy, no relay thread. A decode error
-//! poisons the buffer and tears the connection down (framing is
-//! unrecoverable), exactly like the threaded reader.
+//! Each pass of the loop:
 //!
-//! # Send path (writability-driven batch drain)
+//! 1. samples readiness (or skips the sample on a command doorbell — see
+//!    [`MAX_FAST_PASSES`]), parking at most until the next node timer is
+//!    due, and at most one [`TICK`];
+//! 2. reads every readable stream straight into a pooled [`RecvBuffer`]
+//!    and decodes frames **in place**
+//!    ([`iabc_types::Decode::decode_in_place`]) into the node's inbox —
+//!    no re-assembly copy and no cross-thread hand-off;
+//! 3. fires the node's due timers, then admits queued commands (unless an
+//!    outbound queue is full — see [`crate::queue`]'s backpressure notes);
+//! 4. hands the inbox to `on_message` until it is empty: the pass's
+//!    frames and every self-send its handlers produce, in arrival order
+//!    (self-sends never touch a socket);
+//! 5. drains every outbound queue the handlers pushed into: the
+//!    [`PeerQueue`] batch, ordering frames first, is encoded into pooled
+//!    scratch and pushed with one vectored write. A **partial write parks
+//!    the remainder in the pooled scratch** and re-arms `POLLOUT`; when
+//!    the kernel drains, the suffix goes out and the next batch is
+//!    pulled.
 //!
-//! The two-lane [`PeerQueue`] semantics survive unchanged: a drain takes
-//! everything pending, ordering frames first, encodes the batch into
-//! pooled scratch and pushes it with one vectored write. What changed is
-//! who runs it: a writability event (or a wake after a push) drives the
-//! drain on the loop thread. A **partial write parks the remainder in the
-//! pooled scratch** and re-arms `POLLOUT`; when the kernel drains, the
-//! suffix goes out and the next batch is pulled.
+//! Every clock the loop reads — handler `now`, [`NetOutput::at`], fault
+//! windows, reconnect backoff — counts from one epoch shared by the whole
+//! cluster, so output times compare across processes.
 //!
 //! # Partition healing (reconnect with backoff)
 //!
 //! A write error or reader EOF no longer closes the peer's queue for
 //! good. When the link has a reconnect address, the loop instead flips
 //! the queue into **down-mode** (nonblocking pushes; ordering retained,
-//! bulk shed past a watermark — see [`crate::queue`]), discards the
-//! half-sent scratch (those frames died in flight, quasi-reliable
-//! channels lose exactly such messages; the protocol layer repairs them
-//! through catch-up and the sender's pending-set re-flood), and hands the
-//! peer to the [`Reconnector`]: an immediate first attempt, then
-//! exponential backoff with deterministic jitter capped at ~1 s, at most
-//! one attempt in flight. A successful loop-back connect re-runs the
-//! 2-byte id handshake, reopens the queue, and the next drain flushes the
-//! parked ordering backlog — the decided-frontier piggyback on those
-//! frames is what pulls both sides back together. Inbound, the loop polls
-//! its listener, accepts replacement connections mid-run, and consumes
-//! their handshake bytes before promoting them to readers.
+//! bulk shed past a watermark — see [`crate::queue`]), salvages the
+//! half-sent scratch for replay, and hands the peer to the
+//! [`Reconnector`]: an immediate first attempt, then exponential backoff
+//! with deterministic jitter capped at ~1 s, at most one attempt in
+//! flight. A successful loop-back connect re-runs the 2-byte id
+//! handshake, reopens the queue, and the next drain flushes the parked
+//! ordering backlog — the decided-frontier piggyback on those frames is
+//! what pulls both sides back together. Inbound, the loop polls its
+//! listener, accepts replacement connections mid-run, and consumes their
+//! handshake bytes before promoting them to readers.
 //!
 //! An optional [`NetFaultPlan`] drives nemesis runs: partition windows
 //! sever the matching links once per tick (and gate reconnect attempts
@@ -55,50 +65,63 @@
 //!
 //! # Fairness
 //!
-//! Reads are capped per stream per tick ([`MAX_READS_PER_TICK`]) so a
+//! Reads are capped per stream per pass ([`MAX_READS_PER_TICK`]) so a
 //! loop-back peer that refills its socket as fast as we drain it cannot
 //! starve the other connections; level-triggered polling re-arms the
-//! stream on the next tick.
+//! stream on the next pass. Commands are capped per pass
+//! ([`MAX_COMMANDS_PER_PASS`]), so a client issuing them faster than the
+//! node handles them cannot keep the loop off its sockets.
 
+use std::collections::{BinaryHeap, VecDeque};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration as StdDuration;
+use std::time::{Duration as StdDuration, Instant};
 
-use iabc_types::{Decode, Duration, Encode, ProcessId, WireSize};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use iabc_runtime::{Action, Context, Node, TimerId};
+use iabc_types::{Decode, Duration, Encode, ProcessId, Time, WireSize};
 
+use crate::cluster::PendingTimer;
 use crate::codec::{write_frame_into, RecvBuffer, Tagged, TaggedOwned, RECV_CHUNK};
 use crate::netfault::{LinkJudge, NetFaultPlan, NetFaultStats, NetVerdict};
-use crate::poll::{self, Interest, PollSource, Poller, Readiness, WakeRx, WakeTx};
+use crate::poll::{self, wake_channel, Interest, PollSource, Poller, Readiness, WakeRx, WakeTx};
 use crate::pool::{BufferPool, PooledBuf};
 use crate::queue::{BatchStatus, PeerQueue};
 use crate::reconnect::Reconnector;
+use crate::NetOutput;
 
-/// How long the loop sleeps in `poll` when nothing is happening. Shutdown
-/// latency is bounded by this even if a wake byte is lost (it never is —
-/// the wake channel is a pipe / loop-back stream — but the timeout means
-/// correctness never rests on that). Reconnect scheduling runs at this
-/// granularity too: a due attempt fires within one tick of its deadline.
-const TICK: StdDuration = StdDuration::from_millis(25);
+/// The longest the loop sleeps in `poll` (a node timer due sooner cuts
+/// the sleep short). Shutdown latency is bounded by this even if a wake
+/// byte is lost (it never is — the wake channel is a pipe / loop-back
+/// stream — but the timeout means correctness never rests on that).
+/// Reconnect scheduling runs at this granularity too: a due attempt fires
+/// within one tick of its deadline.
+pub(crate) const TICK: StdDuration = StdDuration::from_millis(25);
 
 /// Reads one stream may issue per tick before yielding to its siblings.
 const MAX_READS_PER_TICK: usize = 4;
 
-/// Consecutive queue-only fast passes before the loop must sample socket
-/// readiness again. A wake signal means *queue* work — draining it into
-/// sockets that were writable moments ago needs no `poll` — but inbound
-/// bytes must not be deferred forever, so every few fast passes the loop
-/// takes a full readiness pass (where the deferred frames arrive as one
-/// bigger, cheaper read).
+/// Consecutive fast passes before the loop must sample socket readiness
+/// again. A doorbell means *commands* arrived — handling them and
+/// draining the sends they produce into sockets that were writable
+/// moments ago needs no `poll` — but inbound bytes must not be deferred
+/// forever, so every few fast passes the loop takes a full readiness pass
+/// (where the deferred frames arrive as one bigger, cheaper read).
 const MAX_FAST_PASSES: u32 = 8;
 
-/// Wakes the event loop from node threads after pushes.
+/// Commands one pass admits before it returns to its sockets and timers;
+/// the rest wait in the channel for the next pass, which does not park.
+const MAX_COMMANDS_PER_PASS: usize = 256;
+
+/// The event loop's doorbell: rung by [`EventLoopHandle::send_command`]
+/// and [`EventLoopHandle::stop`] from other threads.
 ///
 /// Two flags make the hot path syscall-free:
 ///
-/// * `signal` — "queue state changed since the loop last scanned". Set by
-///   every wake, consumed (swapped false) by the loop before each scan.
+/// * `signal` — "a command or stop arrived since the loop last looked".
+///   Set by every wake, consumed (swapped false) by the loop each pass.
 /// * `sleeping` — "the loop is parked (or about to park) in `poll` with a
 ///   real timeout". Only a wake that observes this writes the one-byte
 ///   pipe nudge; while the loop is busy servicing, a wake is two atomic
@@ -122,8 +145,9 @@ impl Waker {
         Waker { tx, signal: AtomicBool::new(false), sleeping: AtomicBool::new(false) }
     }
 
-    /// Signals the loop that queue state changed. While the loop is busy
-    /// this is two uncontended atomic ops; only a park pays a syscall.
+    /// Signals the loop that a command (or a stop request) is waiting.
+    /// While the loop is busy this is two uncontended atomic ops; only a
+    /// park pays a syscall.
     pub(crate) fn wake(&self) {
         self.signal.store(true, Ordering::SeqCst);
         if self.sleeping.load(Ordering::SeqCst) {
@@ -213,13 +237,12 @@ struct Writer<M> {
     /// Where to reconnect after a connection loss. `None` pins the legacy
     /// semantics: loss is permanent and closes the queue.
     addr: Option<SocketAddr>,
-    queue: Arc<PeerQueue<M>>,
+    /// Fed by the hosted node's sends, drained by this writer — both on
+    /// the loop thread.
+    queue: PeerQueue<M>,
     conn: Option<Conn>,
     /// Reusable batch vector for `try_take_batch`.
     batch: Vec<M>,
-    /// Queue closed and fully drained — this link will never send again
-    /// (and must not reconnect).
-    finished: bool,
     /// Shed frames already folded into the shared stats (delta tracking
     /// against the queue's monotone counter).
     shed_reported: u64,
@@ -236,32 +259,28 @@ enum WriterState {
     Idle,
     /// Parked on a partial write; needs `POLLOUT`.
     Parked,
-    /// Queue closed and fully flushed; write side shut down.
-    Finished,
     /// Write error; the connection is gone.
     Dead,
 }
 
 /// One outbound link handed to [`spawn`].
-pub(crate) struct OutboundLink<M> {
+pub(crate) struct OutboundLink {
     pub(crate) peer: ProcessId,
     /// Reconnect target (the peer's listener). `None` disables healing
     /// for this link: a connection loss closes the queue permanently.
     pub(crate) addr: Option<SocketAddr>,
     pub(crate) stream: TcpStream,
-    pub(crate) queue: Arc<PeerQueue<M>>,
 }
 
 /// Everything one event loop owns, handed to [`spawn`].
-pub(crate) struct LoopTopology<M> {
+pub(crate) struct LoopTopology {
     /// This process's listener (nonblocking), polled for mid-run
     /// re-accepts. `None` fixes the inbound set at spawn time.
     pub(crate) listener: Option<TcpListener>,
     /// Accepted streams (already handshaken, nonblocking).
     pub(crate) inbound: Vec<TcpStream>,
-    /// Connected streams (already handshaken, nonblocking), each with the
-    /// [`PeerQueue`] feeding it.
-    pub(crate) outbound: Vec<OutboundLink<M>>,
+    /// Connected streams (already handshaken, nonblocking).
+    pub(crate) outbound: Vec<OutboundLink>,
     /// Nemesis fault plan; `None` keeps the frame path fault-layer-free.
     pub(crate) faults: Option<NetFaultPlan>,
     /// Shared fault/reconnect counters (always live: reconnects happen
@@ -269,48 +288,41 @@ pub(crate) struct LoopTopology<M> {
     pub(crate) stats: Arc<NetFaultStats>,
 }
 
-impl<M> LoopTopology<M> {
-    /// A fixed, heal-free topology (unit tests, legacy callers): no
-    /// listener, no reconnect addresses, no faults.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn fixed(
-        inbound: Vec<TcpStream>,
-        outbound: Vec<(TcpStream, Arc<PeerQueue<M>>)>,
-    ) -> LoopTopology<M> {
-        LoopTopology {
-            listener: None,
-            inbound,
-            outbound: outbound
-                .into_iter()
-                .enumerate()
-                .map(|(i, (stream, queue))| OutboundLink {
-                    // Distinct ids keep the reconnector slots apart; with
-                    // `addr: None` they are never dialed.
-                    // lint:allow(W2): slot index, bounded by the peer count which fits u16 by construction
-                    peer: ProcessId::new(i as u16),
-                    addr: None,
-                    stream,
-                    queue,
-                })
-                .collect(),
-            faults: None,
-            stats: Arc::new(NetFaultStats::default()),
-        }
-    }
+/// The node one loop hosts, handed to [`spawn`].
+pub(crate) struct Hosted<N: Node> {
+    pub(crate) node: N,
+    /// System size, for the node's [`Context`].
+    pub(crate) n: usize,
+    /// The cluster's shared clock origin (see the module docs).
+    pub(crate) epoch: Instant,
+    /// Where the node's outputs go, stamped against `epoch`.
+    pub(crate) outputs: Sender<NetOutput<N::Output>>,
 }
 
-/// A running event loop plus the handles the cluster needs to stop it.
-pub(crate) struct EventLoopHandle {
-    pub(crate) waker: Arc<Waker>,
+/// A running event loop plus the handles the cluster needs to feed and
+/// stop it.
+pub(crate) struct EventLoopHandle<C> {
+    commands: Sender<C>,
+    waker: Arc<Waker>,
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
 }
 
-impl EventLoopHandle {
+impl<C> EventLoopHandle<C> {
+    /// Queues an application command for the hosted node and rings the
+    /// doorbell. The loop admits it on its next pass, unless an outbound
+    /// queue is full; then it waits here until the backlog drains.
+    pub(crate) fn send_command(&self, cmd: C) {
+        // A stopped loop dropped its receiver: a command to a stopped
+        // node is not an error for the caller.
+        let _ = self.commands.send(cmd);
+        self.waker.wake();
+    }
+
     /// Asks the loop to exit: it does one final best-effort nonblocking
-    /// flush pass, shuts its sockets down, and returns. Never blocks on a
-    /// dead peer — unflushed frames to one are dropped, as sends to a
-    /// crashed process are.
+    /// flush pass, shuts its sockets down, drops its node, and returns.
+    /// Never blocks on a dead peer — unflushed frames to one are dropped,
+    /// as sends to a crashed process are.
     pub(crate) fn stop(&self) {
         self.stop.store(true, Ordering::Release);
         self.waker.wake();
@@ -325,57 +337,124 @@ impl EventLoopHandle {
     }
 }
 
-/// Spawns the event loop of one process over the given topology.
+/// Spawns the event loop of process `me`, hosting `host.node`, over the
+/// given topology.
 ///
-/// * `wake_rx` — the read end of the wake channel; `waker` holds the
-///   write end and is shared with the node adapters.
-/// * `inject` — delivers a decoded frame to the owning node; `Err` means
-///   the node stopped and the connection should drop.
-pub(crate) fn spawn<M, F>(
+/// # Panics
+///
+/// Panics if the wake channel or the thread cannot be created (local
+/// resource exhaustion at cluster bootstrap).
+pub(crate) fn spawn<N>(
     me: ProcessId,
-    topo: LoopTopology<M>,
-    wake_rx: WakeRx,
-    waker: Arc<Waker>,
-    inject: F,
-) -> EventLoopHandle
+    topo: LoopTopology,
+    host: Hosted<N>,
+) -> EventLoopHandle<N::Command>
 where
-    M: Encode + Decode + WireSize + Send + 'static,
-    F: Fn(ProcessId, M) -> Result<(), ()> + Send + 'static,
+    N: Node + Send + 'static,
+    N::Msg: Encode + Decode + Send + 'static,
+    N::Command: Send + 'static,
+    N::Output: Send + 'static,
 {
+    // lint:allow(P1): bootstrap wake channel, documented panic, no remote input yet
+    let (wake_tx, wake_rx) = wake_channel().expect("wake channel");
+    let waker = Arc::new(Waker::new(wake_tx));
+    let (commands, command_rx) = unbounded();
     let stop = Arc::new(AtomicBool::new(false));
     let loop_waker = Arc::clone(&waker);
     let loop_stop = Arc::clone(&stop);
     let thread = std::thread::Builder::new()
         .name(format!("iabc-io-{}", me.as_usize()))
         // lint:allow(E1): run_loop executes on the thread being spawned here, not on the caller
-        .spawn(move || run_loop(me, topo, wake_rx, loop_waker, loop_stop, inject))
+        .spawn(move || run_loop(me, topo, host, command_rx, wake_rx, loop_waker, loop_stop))
         // lint:allow(P1): thread spawn at cluster bootstrap, no remote input yet
         .expect("spawn event loop thread");
-    EventLoopHandle { waker, stop, thread: Some(thread) }
+    EventLoopHandle { commands, waker, stop, thread: Some(thread) }
 }
 
 /// Monotonic loop time: `Duration` since `start`, in our nanosecond
 /// `Duration` (no narrowing cast — seconds and subseconds recombined).
-fn loop_time(start: std::time::Instant) -> Duration {
+fn loop_time(start: Instant) -> Duration {
     let e = start.elapsed();
     Duration::from_nanos(
         e.as_secs().saturating_mul(1_000_000_000).saturating_add(u64::from(e.subsec_nanos())),
     )
 }
 
-fn run_loop<M, F>(
+/// The loop-side runtime of the hosted node: where its actions go.
+struct NodeRuntime<M, O> {
     me: ProcessId,
-    topo: LoopTopology<M>,
+    epoch: Instant,
+    /// `route[p]`: index into the writers of the link to `p`, if any.
+    route: Vec<Option<usize>>,
+    timers: BinaryHeap<PendingTimer>,
+    /// Decoded frames and self-sends awaiting `on_message`, in arrival
+    /// order; empty after every pass.
+    inbox: VecDeque<(ProcessId, M)>,
+    outputs: Sender<NetOutput<O>>,
+}
+
+impl<M: WireSize, O> NodeRuntime<M, O> {
+    /// Handler time: since the cluster epoch.
+    fn now(&self) -> Time {
+        Time::from_nanos(loop_time(self.epoch).as_nanos())
+    }
+
+    /// Performs the actions one handler left in `ctx`. Remote sends go
+    /// straight into the peer's queue — this pass's `service_writers`
+    /// drains them, no wake needed; a send to a peer with no link is
+    /// dropped, like one to a crashed process. Self-sends join the inbox.
+    fn perform_actions(&mut self, ctx: &mut Context<M, O>, writers: &[Writer<M>]) {
+        for action in ctx.take_actions() {
+            match action {
+                Action::Send { to, msg } if to == self.me => self.inbox.push_back((to, msg)),
+                Action::Send { to, msg } => {
+                    if let Some(&Some(w)) = self.route.get(to.as_usize()) {
+                        writers[w].queue.push_nowait(msg);
+                    }
+                }
+                Action::SetTimer { delay, timer } => {
+                    self.timers.push(PendingTimer { due: Instant::now() + delay.into(), timer });
+                }
+                Action::Work { .. } => {} // real CPUs charge themselves
+                Action::Output(output) => {
+                    // The receiver is gone only once the cluster is being
+                    // torn down; nobody is left to read the output.
+                    let _ = self.outputs.send(NetOutput { at: self.now(), process: self.me, output });
+                }
+            }
+        }
+    }
+
+    /// Pops the next timer due by `now`.
+    fn pop_due(&mut self, now: Instant) -> Option<TimerId> {
+        if self.timers.peek().is_some_and(|t| t.due <= now) {
+            self.timers.pop().map(|t| t.timer)
+        } else {
+            None
+        }
+    }
+}
+
+/// Whether a connected writer's queue is at capacity: the loop then
+/// admits no commands (see [`crate::queue`]'s backpressure notes).
+fn backlogged<M: WireSize>(writers: &[Writer<M>]) -> bool {
+    writers.iter().any(|w| w.conn.is_some() && w.queue.is_full())
+}
+
+fn run_loop<N>(
+    me: ProcessId,
+    topo: LoopTopology,
+    host: Hosted<N>,
+    commands: Receiver<N::Command>,
     mut wake_rx: WakeRx,
     waker: Arc<Waker>,
     stop: Arc<AtomicBool>,
-    inject: F,
 ) where
-    M: Encode + Decode + WireSize,
-    F: Fn(ProcessId, M) -> Result<(), ()>,
+    N: Node,
+    N::Msg: Encode + Decode,
 {
+    let Hosted { mut node, n, epoch, outputs } = host;
     let pool = BufferPool::new();
-    let start = std::time::Instant::now();
     let listener = topo.listener;
     let stats = topo.stats;
     let mut readers: Vec<Inbound> = topo
@@ -384,16 +463,15 @@ fn run_loop<M, F>(
         .map(|stream| Inbound { stream, recv: RecvBuffer::new(&pool), open: true })
         .collect();
     let mut pending: Vec<PendingAccept> = Vec::new();
-    let mut writers: Vec<Writer<M>> = topo
+    let mut writers: Vec<Writer<N::Msg>> = topo
         .outbound
         .into_iter()
         .map(|link| Writer {
             peer: link.peer,
             addr: link.addr,
-            queue: link.queue,
+            queue: PeerQueue::new(),
             conn: Some(Conn::new(link.stream, &pool)),
             batch: Vec::new(),
-            finished: false,
             shed_reported: 0,
             carryover: Vec::new(),
         })
@@ -404,144 +482,196 @@ fn run_loop<M, F>(
     let mut reconnect = Reconnector::new(slots, u64::from(me.index()) ^ 0x1abc);
     let mut judge: Option<LinkJudge> = topo.faults.map(|plan| LinkJudge::new(plan, me, slots));
 
+    let mut route = vec![None; slots];
+    for (i, w) in writers.iter().enumerate() {
+        route[w.peer.as_usize()] = Some(i);
+    }
+    let mut rt = NodeRuntime {
+        me,
+        epoch,
+        route,
+        timers: BinaryHeap::new(),
+        inbox: VecDeque::new(),
+        outputs,
+    };
+    let mut ctx = Context::new(me, n, rt.now());
+    // lint:allow(E1): node dispatch — a durable store's recovery read in on_start, record appends and the optional fdatasync are the node's own file I/O; the network path never blocks
+    node.on_start(&mut ctx);
+    rt.perform_actions(&mut ctx, &writers);
+
     let mut poller = Poller::new();
     let mut readiness: Vec<Readiness> = Vec::new();
     let mut fast_passes = 0u32;
+    // A command taken off the channel but not yet admitted (the channel
+    // offers no peek).
+    let mut waiting: Option<N::Command> = None;
+    // Work a pass left over — admissible commands, and before the first
+    // pass on_start's sends: the next pass must not park.
+    let mut leftover = true;
     loop {
         let stopping = stop.load(Ordering::Acquire);
         let signaled = waker.take_signal();
-        // A pending signal means fresh *queue* work: drain it straight
-        // into the sockets without a readiness syscall ([`MAX_FAST_PASSES`]
-        // bounds how long inbound bytes can be deferred this way).
+        // A doorbell means commands are waiting: handle them and drain the
+        // sends they produce straight into the sockets without a readiness
+        // syscall ([`MAX_FAST_PASSES`] bounds how long inbound bytes can
+        // be deferred this way).
         if signaled && !stopping && fast_passes < MAX_FAST_PASSES {
             fast_passes += 1;
-            let now = loop_time(start);
-            service_writers(me, now, &mut writers, &mut judge, &stats, &mut reconnect);
-            continue;
-        }
-        fast_passes = 0;
-        let now = loop_time(start);
-        // Link maintenance before interests: sever freshly partitioned
-        // connections, dial due reconnect attempts.
-        maintain_links(me, now, &mut writers, &mut reconnect, judge.as_ref(), &stats, &pool);
-        // Out of fast passes or out of signals: take a full readiness
-        // pass. With a signal (or stop) pending the poll is a zero-timeout
-        // sample; otherwise announce the park — a wake racing in aborts it
-        // (see [`Waker`] for the handshake).
-        let mut timeout = StdDuration::ZERO;
-        let mut parked = false;
-        if !(signaled || stopping) {
-            if waker.announce_sleep() {
-                // While links are down the tick doubles as the reconnect
-                // clock; it already bounds the wait, nothing extra needed.
-                timeout = TICK;
-                parked = true;
-            } else {
-                waker.take_signal();
+        } else {
+            fast_passes = 0;
+            let now = loop_time(epoch);
+            // Link maintenance before interests: sever freshly partitioned
+            // connections, dial due reconnect attempts.
+            maintain_links(me, now, &mut writers, &mut reconnect, judge.as_ref(), &stats, &pool);
+            // With a doorbell, a stop, or leftover work pending the poll is
+            // a zero-timeout sample; otherwise announce the park — a wake
+            // racing in aborts it (see [`Waker`] for the handshake) — and
+            // sleep until the next node timer is due, at most one tick.
+            let mut timeout = StdDuration::ZERO;
+            let mut parked = false;
+            if !(signaled || stopping || leftover) {
+                if waker.announce_sleep() {
+                    // While links are down the tick doubles as the
+                    // reconnect clock; it already bounds the wait.
+                    timeout = rt.timers.peek().map_or(TICK, |t| {
+                        t.due.saturating_duration_since(Instant::now()).min(TICK)
+                    });
+                    parked = true;
+                } else {
+                    waker.take_signal();
+                }
             }
-        }
-        // Interest layout: [wake_rx, listener?, pending..., readers...,
-        // writers-with-conn...]. Writers only need POLLOUT while parked on
-        // a partial write; fresh batches are attempted opportunistically
-        // below without waiting for an event.
-        let listener_slot;
-        let pending_base;
-        let reader_base;
-        let writer_slots: Vec<Option<usize>>;
-        {
-            let mut interests: Vec<(&dyn PollSource, Interest)> =
-                Vec::with_capacity(2 + pending.len() + readers.len() + writers.len());
-            interests.push((&wake_rx, Interest::READ));
-            listener_slot = listener.as_ref().map(|l| {
-                interests.push((l, Interest::READ));
-                interests.len() - 1
-            });
-            pending_base = interests.len();
-            for p in &pending {
-                interests.push((&p.stream, Interest::READ));
-            }
-            reader_base = interests.len();
-            for r in &readers {
-                interests.push((&r.stream, if r.open { Interest::READ } else { Interest::NONE }));
-            }
-            writer_slots = writers
-                .iter()
-                .map(|w| {
-                    let c = w.conn.as_ref()?;
+            // Interest layout: [wake_rx, listener?, pending..., readers...,
+            // writers-with-conn...]. Writers only need POLLOUT while parked
+            // on a partial write; fresh batches are attempted
+            // opportunistically below without waiting for an event.
+            let listener_slot;
+            let pending_base;
+            let reader_base;
+            {
+                let mut interests: Vec<(&dyn PollSource, Interest)> =
+                    Vec::with_capacity(2 + pending.len() + readers.len() + writers.len());
+                interests.push((&wake_rx, Interest::READ));
+                listener_slot = listener.as_ref().map(|l| {
+                    interests.push((l, Interest::READ));
+                    interests.len() - 1
+                });
+                pending_base = interests.len();
+                for p in &pending {
+                    interests.push((&p.stream, Interest::READ));
+                }
+                reader_base = interests.len();
+                for r in &readers {
+                    interests.push((&r.stream, if r.open { Interest::READ } else { Interest::NONE }));
+                }
+                for c in writers.iter().filter_map(|w| w.conn.as_ref()) {
                     let parked_write = c.scratch.len() > c.sent;
                     interests.push((
                         &c.stream,
                         if parked_write { Interest::WRITE } else { Interest::NONE },
                     ));
-                    Some(interests.len() - 1)
-                })
-                .collect();
-            let _ = &writer_slots;
-            // A poll failure is unrecoverable for this loop; treat it as a
-            // stop request rather than spinning on the error.
-            // lint:allow(E1): poll(2) with a bounded tick is the loop's one sanctioned parking point
-            if poller.wait(&interests, &mut readiness, timeout).is_err() {
-                stop.store(true, Ordering::Release);
-            }
-        }
-        if parked {
-            waker.finish_sleep();
-            // Consume the signal of any wake that landed mid-park: the
-            // scan below covers it either way.
-            waker.take_signal();
-        }
-        // Wake bytes exist only when a waker caught the loop parked;
-        // everything else stays out of the pipe entirely.
-        if readiness.first().is_some_and(|r| r.readable) {
-            wake_rx.drain_wakes();
-        }
-
-        // Mid-run accepts: drain the listener backlog into the pending
-        // set; their handshake bytes promote them to readers below.
-        if let (Some(l), Some(slot)) = (listener.as_ref(), listener_slot) {
-            if readiness.get(slot).is_some_and(|r| r.readable) {
-                while let Ok(Some(stream)) = poll::try_accept(l) {
-                    pending.push(PendingAccept { stream, id: [0; 2], got: 0 });
+                }
+                // A poll failure is unrecoverable for this loop; treat it
+                // as a stop request rather than spinning on the error.
+                // lint:allow(E1): poll(2) with a bounded tick is the loop's one sanctioned parking point
+                if poller.wait(&interests, &mut readiness, timeout).is_err() {
+                    stop.store(true, Ordering::Release);
                 }
             }
-        }
-        let mut i = 0;
-        while i < pending.len() {
-            if readiness.get(pending_base + i).is_some_and(|r| r.readable) {
-                match service_pending(&mut pending[i]) {
-                    PendingOutcome::Wait => i += 1,
-                    PendingOutcome::Dead => {
-                        pending.swap_remove(i);
-                    }
-                    PendingOutcome::Ready => {
-                        let p = pending.swap_remove(i);
-                        readers.push(Inbound {
-                            stream: p.stream,
-                            recv: RecvBuffer::new(&pool),
-                            open: true,
-                        });
+            if parked {
+                waker.finish_sleep();
+                // Consume the signal of any wake that landed mid-park: the
+                // command intake below covers it either way.
+                waker.take_signal();
+            }
+            // Wake bytes exist only when a waker caught the loop parked;
+            // everything else stays out of the pipe entirely.
+            if readiness.first().is_some_and(|r| r.readable) {
+                wake_rx.drain_wakes();
+            }
+
+            // Mid-run accepts: drain the listener backlog into the pending
+            // set; their handshake bytes promote them to readers below.
+            if let (Some(l), Some(slot)) = (listener.as_ref(), listener_slot) {
+                if readiness.get(slot).is_some_and(|r| r.readable) {
+                    while let Ok(Some(stream)) = poll::try_accept(l) {
+                        pending.push(PendingAccept { stream, id: [0; 2], got: 0 });
                     }
                 }
-            } else {
-                i += 1;
             }
+            let mut i = 0;
+            while i < pending.len() {
+                if readiness.get(pending_base + i).is_some_and(|r| r.readable) {
+                    match service_pending(&mut pending[i]) {
+                        PendingOutcome::Wait => i += 1,
+                        PendingOutcome::Dead => {
+                            pending.swap_remove(i);
+                        }
+                        PendingOutcome::Ready => {
+                            let p = pending.swap_remove(i);
+                            readers.push(Inbound {
+                                stream: p.stream,
+                                recv: RecvBuffer::new(&pool),
+                                open: true,
+                            });
+                        }
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+
+            let inbox = &mut rt.inbox;
+            for (i, r) in readers.iter_mut().enumerate() {
+                if r.open && readiness.get(reader_base + i).is_some_and(|rd| rd.readable) {
+                    service_reader(r, &mut |from, msg| inbox.push_back((from, msg)));
+                }
+            }
+            // Dead readers leave the set: with a listener the peer's
+            // reconnect will accept a replacement; without one the slot is
+            // simply gone (legacy fixed topology).
+            readers.retain(|r| r.open);
         }
 
-        for (i, r) in readers.iter_mut().enumerate() {
-            if r.open && readiness.get(reader_base + i).is_some_and(|rd| rd.readable) {
-                service_reader(r, &inject);
-            }
+        // The node's turn: due timers, then commands (paused while a
+        // connected queue is full — reads and timers go on regardless, so
+        // two loops backlogged on each other still drain each other), then
+        // the inbox: this pass's frames and every self-send so far.
+        let due_by = Instant::now();
+        while let Some(timer) = rt.pop_due(due_by) {
+            ctx.set_now(rt.now());
+            // lint:allow(E1): node dispatch — a durable store's recovery read in on_start, record appends and the optional fdatasync are the node's own file I/O; the network path never blocks
+            node.on_timer(timer, &mut ctx);
+            rt.perform_actions(&mut ctx, &writers);
         }
-        // Dead readers leave the set: with a listener the peer's
-        // reconnect will accept a replacement; without one the slot is
-        // simply gone (legacy fixed topology).
-        readers.retain(|r| r.open);
+        for _ in 0..MAX_COMMANDS_PER_PASS {
+            if backlogged(&writers) {
+                break;
+            }
+            let Some(cmd) = waiting.take().or_else(|| commands.try_recv().ok()) else { break };
+            ctx.set_now(rt.now());
+            // lint:allow(E1): node dispatch — a durable store's recovery read in on_start, record appends and the optional fdatasync are the node's own file I/O; the network path never blocks
+            node.on_command(cmd, &mut ctx);
+            rt.perform_actions(&mut ctx, &writers);
+        }
+        while let Some((from, msg)) = rt.inbox.pop_front() {
+            ctx.set_now(rt.now());
+            // lint:allow(E1): node dispatch — a durable store's recovery read in on_start, record appends and the optional fdatasync are the node's own file I/O; the network path never blocks
+            node.on_message(from, msg, &mut ctx);
+            rt.perform_actions(&mut ctx, &writers);
+        }
 
-        let now = loop_time(start);
-        // Every connected writer gets a service pass each tick: wake-ups
-        // and read events both mean queues may have refilled, and an idle
-        // pass is one uncontended try_take_batch lock per peer.
+        // Every connected writer gets a service pass: the handlers above
+        // may have refilled any queue, and an idle pass is one
+        // uncontended try_take_batch lock per peer.
+        let now = loop_time(epoch);
         service_writers(me, now, &mut writers, &mut judge, &stats, &mut reconnect);
+        // Commands that the cap, or a backlog the writers just drained,
+        // held back keep the next pass from parking.
+        if waiting.is_none() {
+            waiting = commands.try_recv().ok();
+        }
+        leftover = waiting.is_some() && !backlogged(&writers);
 
         if stopping {
             // Final pass already flushed what the kernel would take
@@ -604,9 +734,6 @@ fn maintain_links<M: WireSize>(
     pool: &BufferPool,
 ) {
     for w in writers.iter_mut() {
-        if w.finished {
-            continue;
-        }
         // Fold newly shed frames (down-mode bulk watermark) into the
         // shared counters; the queue's counter is monotone, so a delta
         // against what was already reported is exact.
@@ -677,26 +804,19 @@ fn maintain_links<M: WireSize>(
 }
 
 /// Drains one inbound stream: read into the pooled arena, decode frames
-/// in place, inject. Stops at `WouldBlock`, EOF, a decode error (poisoned
-/// framing ⇒ drop the connection), or the per-tick read cap.
-fn service_reader<M, F>(r: &mut Inbound, inject: &F)
+/// in place, hand each to `on_frame`. Stops at `WouldBlock`, EOF, a
+/// decode error (poisoned framing ⇒ drop the connection), or the
+/// per-pass read cap.
+fn service_reader<M>(r: &mut Inbound, on_frame: &mut impl FnMut(ProcessId, M))
 where
     M: Decode + WireSize,
-    F: Fn(ProcessId, M) -> Result<(), ()>,
 {
     let mut reads = 0;
     let mut drained = false;
     loop {
         loop {
             match r.recv.next_frame::<TaggedOwned<M>>() {
-                Ok(Some(t)) => {
-                    if inject(t.from, t.msg).is_err() {
-                        // Node stopped: nothing left to deliver to.
-                        poll::shutdown_stream(&r.stream, Shutdown::Both);
-                        r.open = false;
-                        return;
-                    }
-                }
+                Ok(Some(t)) => on_frame(t.from, t.msg),
                 Ok(None) => break,
                 Err(_) => {
                     poll::shutdown_stream(&r.stream, Shutdown::Both);
@@ -742,19 +862,11 @@ fn service_writers<M: Encode + WireSize>(
     reconnect: &mut Reconnector,
 ) {
     for w in writers.iter_mut() {
-        if w.conn.is_none() || w.finished {
+        if w.conn.is_none() {
             continue;
         }
         match service_writer(me, now, w, judge.as_mut(), stats) {
             WriterState::Idle | WriterState::Parked => {}
-            WriterState::Finished => {
-                // Queue closed and drained: signal EOF to the peer's
-                // reader and retire the link for good.
-                if let Some(c) = w.conn.take() {
-                    poll::shutdown_stream(&c.stream, Shutdown::Write);
-                }
-                w.finished = true;
-            }
             WriterState::Dead => {
                 if let Some(c) = w.conn.take() {
                     poll::shutdown_stream(&c.stream, Shutdown::Both);
@@ -774,9 +886,9 @@ fn service_writers<M: Encode + WireSize>(
                     w.queue.set_link_down(true);
                     reconnect.mark_down(w.peer, now);
                 } else {
-                    // Legacy fixed topology: loss is permanent.
+                    // Legacy fixed topology: loss is permanent, and the
+                    // closed queue drops whatever the node still sends.
                     w.queue.close();
-                    w.finished = true;
                 }
             }
         }
@@ -785,8 +897,8 @@ fn service_writers<M: Encode + WireSize>(
 
 /// Pushes one outbound connection as far as the kernel allows: flush any
 /// parked suffix, then keep pulling and encoding batches until the queue
-/// is empty (Idle), the socket is full (Parked), the queue is closed and
-/// drained (Finished), or the connection died (Dead).
+/// is empty (Idle), the socket is full (Parked), or the connection died
+/// (Dead).
 ///
 /// # Panics
 ///
@@ -819,8 +931,9 @@ fn service_writer<M: Encode + WireSize>(
         }
         w.batch.clear();
         match w.queue.try_take_batch(&mut w.batch) {
-            BatchStatus::Empty => return WriterState::Idle,
-            BatchStatus::Closed => return WriterState::Finished,
+            // Only a dead link's queue is ever closed, and a dead link has
+            // no connection to serve.
+            BatchStatus::Empty | BatchStatus::Closed => return WriterState::Idle,
             BatchStatus::Took => {}
         }
         c.bounds.clear();
@@ -886,11 +999,8 @@ fn service_writer<M: Encode + WireSize>(
 mod tests {
     use super::*;
     use crate::codec::{write_frame, FrameBuffer};
-    use crate::poll::wake_channel;
     use crate::queue::tests::Classed;
-    use crossbeam::channel::{unbounded, Receiver, Sender};
     use std::io::{Read, Write};
-    use std::time::Instant;
 
     fn blocking_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -900,43 +1010,116 @@ mod tests {
         (a, b)
     }
 
-    fn spawn_loop(
-        inbound: Vec<TcpStream>,
-        outbound: Vec<(TcpStream, Arc<PeerQueue<Classed>>)>,
-    ) -> (EventLoopHandle, Receiver<(ProcessId, Classed)>) {
-        spawn_topo(LoopTopology::fixed(inbound, outbound))
+    /// What the [`Scripted`] node reports.
+    #[derive(Debug, PartialEq)]
+    enum Seen<M> {
+        /// A frame arrived from this sender.
+        Frame(ProcessId, M),
+        /// The loop admitted a command.
+        Command,
     }
 
-    fn spawn_topo(
-        topo: LoopTopology<Classed>,
-    ) -> (EventLoopHandle, Receiver<(ProcessId, Classed)>) {
-        for s in topo
-            .inbound
-            .iter()
-            .chain(topo.outbound.iter().map(|l| &l.stream))
-        {
+    /// Test node: sends its start script from `on_start`, each command's
+    /// sends once the loop admits it, and reports every frame and command.
+    struct Scripted<M> {
+        start: Vec<(ProcessId, M)>,
+    }
+
+    impl<M: Clone + std::fmt::Debug + WireSize> Node for Scripted<M> {
+        type Msg = M;
+        type Command = Vec<(ProcessId, M)>;
+        type Output = Seen<M>;
+        fn on_start(&mut self, ctx: &mut Context<M, Seen<M>>) {
+            for (to, m) in std::mem::take(&mut self.start) {
+                ctx.send(to, m);
+            }
+        }
+        fn on_command(&mut self, sends: Vec<(ProcessId, M)>, ctx: &mut Context<M, Seen<M>>) {
+            ctx.output(Seen::Command);
+            for (to, m) in sends {
+                ctx.send(to, m);
+            }
+        }
+        fn on_message(&mut self, from: ProcessId, m: M, ctx: &mut Context<M, Seen<M>>) {
+            ctx.output(Seen::Frame(from, m));
+        }
+    }
+
+    /// A loop hosting a [`Scripted`] node, plus its output channel.
+    struct Harness<M> {
+        handle: EventLoopHandle<Vec<(ProcessId, M)>>,
+        outputs: Receiver<NetOutput<Seen<M>>>,
+    }
+
+    impl<M> Harness<M> {
+        /// The next frame the node reported, skipping command reports.
+        fn next_frame(&self, timeout: StdDuration) -> Option<(ProcessId, M)> {
+            let deadline = Instant::now() + timeout;
+            loop {
+                let left = deadline.checked_duration_since(Instant::now())?;
+                match self.outputs.recv_timeout(left).ok()?.output {
+                    Seen::Frame(from, m) => return Some((from, m)),
+                    Seen::Command => {}
+                }
+            }
+        }
+
+        fn stop(self) {
+            self.handle.stop();
+            self.handle.join();
+        }
+    }
+
+    /// Process `me` of `n`, hosting a [`Scripted`] node over `topo`.
+    fn spawn_scripted<M>(
+        me: ProcessId,
+        n: usize,
+        topo: LoopTopology,
+        start: Vec<(ProcessId, M)>,
+    ) -> Harness<M>
+    where
+        M: Encode + Decode + Clone + std::fmt::Debug + WireSize + Send + 'static,
+    {
+        for s in topo.inbound.iter().chain(topo.outbound.iter().map(|l| &l.stream)) {
             s.set_nonblocking(true).unwrap();
             s.set_nodelay(true).unwrap();
         }
-        let (wake_tx, wake_rx) = wake_channel().unwrap();
-        let waker = Arc::new(Waker::new(wake_tx));
-        let (tx, rx): (Sender<(ProcessId, Classed)>, _) = unbounded();
-        let handle = spawn(ProcessId::new(0), topo, wake_rx, waker, move |from, msg| {
-            tx.send((from, msg)).map_err(|_| ())
-        });
-        (handle, rx)
+        let (tx, outputs) = unbounded();
+        let host = Hosted { node: Scripted { start }, n, epoch: Instant::now(), outputs: tx };
+        Harness { handle: spawn(me, topo, host), outputs }
+    }
+
+    /// A fixed, heal-free topology: no listener, no reconnect addresses,
+    /// no faults. Outbound streams lead to peers 1, 2, … in order.
+    fn fixed(inbound: Vec<TcpStream>, outbound: Vec<TcpStream>) -> LoopTopology {
+        LoopTopology {
+            listener: None,
+            inbound,
+            outbound: outbound
+                .into_iter()
+                .enumerate()
+                .map(|(i, stream)| OutboundLink {
+                    peer: ProcessId::new(i as u16 + 1),
+                    addr: None,
+                    stream,
+                })
+                .collect(),
+            faults: None,
+            stats: Arc::new(NetFaultStats::default()),
+        }
+    }
+
+    fn to_p1<M>(msgs: impl IntoIterator<Item = M>) -> Vec<(ProcessId, M)> {
+        msgs.into_iter().map(|m| (ProcessId::new(1), m)).collect()
     }
 
     #[test]
     fn outbound_batch_drains_ordering_ahead_of_bulk_over_the_wire() {
         let (ours, mut theirs) = blocking_pair();
-        let queue: Arc<PeerQueue<Classed>> = Arc::new(PeerQueue::new());
-        // Fill before the loop starts so the whole burst is one batch.
-        for v in [2, 4, 1, 6, 3, 8, 5] {
-            queue.enqueue(Classed(v));
-        }
-        let (handle, _rx) = spawn_loop(vec![], vec![(ours, Arc::clone(&queue))]);
-        handle.waker.wake();
+        // Sent from on_start, before the first drain: the whole burst is
+        // one batch.
+        let start = to_p1([2, 4, 1, 6, 3, 8, 5].map(Classed));
+        let h = spawn_scripted(ProcessId::new(0), 2, fixed(vec![], vec![ours]), start);
 
         let mut frames = FrameBuffer::new();
         let mut got: Vec<u32> = Vec::new();
@@ -951,14 +1134,13 @@ mod tests {
             }
         }
         assert_eq!(got, vec![1, 3, 5, 2, 4, 6, 8], "ordering lane must drain first");
-        handle.stop();
-        handle.join();
+        h.stop();
     }
 
     #[test]
     fn corrupt_inbound_frame_tears_the_connection_after_delivering_the_good_prefix() {
         let (theirs, ours) = blocking_pair();
-        let (handle, rx) = spawn_loop(vec![ours], vec![]);
+        let h = spawn_scripted::<Classed>(ProcessId::new(0), 2, fixed(vec![ours], vec![]), vec![]);
         let mut theirs = theirs;
         write_frame(&Tagged { from: ProcessId::new(1), msg: &Classed(42) }, &mut theirs).unwrap();
         // A malformed frame: the length prefix says 2 bytes, which can
@@ -969,14 +1151,13 @@ mod tests {
         // loop may already have torn the socket down — ignore errors).
         let _ = write_frame(&Tagged { from: ProcessId::new(1), msg: &Classed(7) }, &mut theirs);
 
-        let first = rx.recv_timeout(StdDuration::from_secs(5)).unwrap();
+        let first = h.next_frame(StdDuration::from_secs(5)).unwrap();
         assert_eq!(first, (ProcessId::new(1), Classed(42)));
         assert!(
-            rx.recv_timeout(StdDuration::from_secs(2)).is_err(),
+            h.next_frame(StdDuration::from_secs(2)).is_none(),
             "no frame may be delivered after a decode error"
         );
-        handle.stop();
-        handle.join();
+        h.stop();
     }
 
     #[test]
@@ -989,21 +1170,15 @@ mod tests {
         let peer_addr = peer_listener.local_addr().unwrap();
         let initial = TcpStream::connect(peer_addr).unwrap();
         let (their_end, _) = peer_listener.accept().unwrap();
-        let queue: Arc<PeerQueue<Classed>> = Arc::new(PeerQueue::new());
         let topo = LoopTopology {
             listener: None,
             inbound: vec![],
-            outbound: vec![OutboundLink {
-                peer: ProcessId::new(1),
-                addr: Some(peer_addr),
-                stream: initial,
-                queue: Arc::clone(&queue),
-            }],
+            outbound: vec![OutboundLink { peer: ProcessId::new(1), addr: Some(peer_addr), stream: initial }],
             faults: None,
             stats: Arc::new(NetFaultStats::default()),
         };
         let stats = Arc::clone(&topo.stats);
-        let (handle, _rx) = spawn_topo(topo);
+        let h = spawn_scripted::<Classed>(ProcessId::new(0), 2, topo, vec![]);
 
         // Kill the peer end: the loop's next write hits EPIPE/RST.
         drop(their_end);
@@ -1014,8 +1189,7 @@ mod tests {
             let mut accepted = None;
             while accepted.is_none() {
                 assert!(Instant::now() < deadline, "loop never redialed the peer listener");
-                queue.enqueue(Classed(1));
-                handle.waker.wake();
+                h.handle.send_command(to_p1([Classed(1)]));
                 std::thread::sleep(StdDuration::from_millis(5));
                 if let Ok((s, _)) = peer_listener.accept() {
                     accepted = Some(s);
@@ -1030,8 +1204,7 @@ mod tests {
         assert_eq!(u16::from_le_bytes(hs), 0, "handshake must carry the dialer's id");
         // A post-reconnect frame must arrive on the new stream (parked
         // backlog first — all odd, all ordering — then this one).
-        queue.enqueue(Classed(9));
-        handle.waker.wake();
+        h.handle.send_command(to_p1([Classed(9)]));
         let mut frames = FrameBuffer::new();
         let mut got: Vec<u32> = Vec::new();
         let mut chunk = [0u8; 4096];
@@ -1051,8 +1224,7 @@ mod tests {
         // `queue`.) The ordering lane is FIFO, so 9 drains last.
         assert_eq!(got.last(), Some(&9));
         assert!(stats.report().reconnects >= 1);
-        handle.stop();
-        handle.join();
+        h.stop();
     }
 
     #[test]
@@ -1064,18 +1236,12 @@ mod tests {
         let peer_addr = peer_listener.local_addr().unwrap();
         let initial = TcpStream::connect(peer_addr).unwrap();
         let (their_end, _) = peer_listener.accept().unwrap();
-        let queue: Arc<PeerQueue<Classed>> = Arc::new(PeerQueue::new());
         let window_from = Duration::from_millis(0);
         let window_until = Duration::from_millis(400);
         let topo = LoopTopology {
             listener: None,
             inbound: vec![],
-            outbound: vec![OutboundLink {
-                peer: ProcessId::new(1),
-                addr: Some(peer_addr),
-                stream: initial,
-                queue: Arc::clone(&queue),
-            }],
+            outbound: vec![OutboundLink { peer: ProcessId::new(1), addr: Some(peer_addr), stream: initial }],
             faults: Some(
                 NetFaultPlan::new(11)
                     .partition(ProcessId::new(0), ProcessId::new(1), window_from, window_until),
@@ -1084,7 +1250,7 @@ mod tests {
         };
         let stats = Arc::clone(&topo.stats);
         let started = Instant::now();
-        let (handle, _rx) = spawn_topo(topo);
+        let h = spawn_scripted::<Classed>(ProcessId::new(0), 2, topo, vec![]);
 
         // The severance arrives within a few ticks: our end sees EOF.
         let mut their_end = their_end;
@@ -1116,8 +1282,7 @@ mod tests {
         assert_eq!(u16::from_le_bytes(hs), 0);
         assert!(stats.report().reconnects >= 1);
         // Frames flow again on the healed link.
-        queue.enqueue(Classed(5));
-        handle.waker.wake();
+        h.handle.send_command(to_p1([Classed(5)]));
         let mut frames = FrameBuffer::new();
         let mut chunk = [0u8; 1024];
         'outer: loop {
@@ -1130,8 +1295,7 @@ mod tests {
                 }
             }
         }
-        handle.stop();
-        handle.join();
+        h.stop();
     }
 
     #[test]
@@ -1148,14 +1312,13 @@ mod tests {
             faults: None,
             stats: Arc::new(NetFaultStats::default()),
         };
-        let (handle, rx) = spawn_topo(topo);
+        let h = spawn_scripted::<Classed>(ProcessId::new(0), 4, topo, vec![]);
         let mut peer = TcpStream::connect(addr).unwrap();
         peer.write_all(&3u16.to_le_bytes()).unwrap();
         write_frame(&Tagged { from: ProcessId::new(3), msg: &Classed(21) }, &mut peer).unwrap();
-        let got = rx.recv_timeout(StdDuration::from_secs(5)).unwrap();
+        let got = h.next_frame(StdDuration::from_secs(5)).unwrap();
         assert_eq!(got, (ProcessId::new(3), Classed(21)));
-        handle.stop();
-        handle.join();
+        h.stop();
     }
 
     /// A bulk frame big enough that a few thousand of them overflow any
@@ -1193,28 +1356,13 @@ mod tests {
         // WouldBlock with a parked remainder. stop() must still return
         // promptly — the backlog to a dead peer is dropped, not awaited.
         let (ours, theirs) = blocking_pair();
-        ours.set_nonblocking(true).unwrap();
-        let queue: Arc<PeerQueue<Huge>> = Arc::new(PeerQueue::new());
-        let (wake_tx, wake_rx) = wake_channel().unwrap();
-        let waker = Arc::new(Waker::new(wake_tx));
-        let handle = spawn(
-            ProcessId::new(0),
-            LoopTopology::fixed(vec![], vec![(ours, Arc::clone(&queue))]),
-            wake_rx,
-            waker,
-            |_, _: Huge| Ok(()),
-        );
-        // ~16 MiB queued (within queue capacity, far past socket buffers):
+        // ~16 MiB sent (within queue capacity, far past socket buffers):
         // the loop must park on a partial write.
-        for v in 0..4096u32 {
-            queue.enqueue(Huge(v));
-        }
-        handle.waker.wake();
+        let start = to_p1((0..4096u32).map(Huge));
+        let h = spawn_scripted(ProcessId::new(0), 2, fixed(vec![], vec![ours]), start);
         std::thread::sleep(StdDuration::from_millis(100));
-        queue.close();
         let t0 = Instant::now();
-        handle.stop();
-        handle.join();
+        h.stop();
         assert!(
             t0.elapsed() < StdDuration::from_secs(2),
             "shutdown must not wait for a peer that never drains"
@@ -1230,21 +1378,8 @@ mod tests {
         // still arrive intact and in FIFO order.
         const FRAMES: u32 = 2048;
         let (ours, mut theirs) = blocking_pair();
-        let queue: Arc<PeerQueue<Huge>> = Arc::new(PeerQueue::new());
-        for v in 0..FRAMES {
-            queue.enqueue(Huge(v));
-        }
-        ours.set_nonblocking(true).unwrap();
-        let (wake_tx, wake_rx) = wake_channel().unwrap();
-        let waker = Arc::new(Waker::new(wake_tx));
-        let handle = spawn(
-            ProcessId::new(2),
-            LoopTopology::fixed(vec![], vec![(ours, Arc::clone(&queue))]),
-            wake_rx,
-            waker,
-            |_, _: Huge| Ok(()),
-        );
-        handle.waker.wake();
+        let start = to_p1((0..FRAMES).map(Huge));
+        let h = spawn_scripted(ProcessId::new(2), 3, fixed(vec![], vec![ours]), start);
         let mut frames = FrameBuffer::new();
         let mut got: Vec<u32> = Vec::new();
         let mut chunk = [0u8; 64 * 1024];
@@ -1260,48 +1395,92 @@ mod tests {
         // Every frame arrived intact (the Decode impl checks the body),
         // in FIFO order — whichever frame the short write split.
         assert_eq!(got, (0..FRAMES).collect::<Vec<_>>());
-        handle.stop();
-        handle.join();
+        h.stop();
     }
 
     #[test]
     fn wake_coalescing_still_delivers_every_burst() {
-        // Many small pushes with wakes in between: regardless of how the
-        // flag coalesces them, every frame must arrive, in lane order
-        // within each drained batch.
+        // Many small commands, each ringing the doorbell: regardless of
+        // how the flag coalesces the wakes, every command's frame must
+        // arrive, exactly once.
         let (ours, mut theirs) = blocking_pair();
         theirs.set_nodelay(true).unwrap();
-        let queue: Arc<PeerQueue<Classed>> = Arc::new(PeerQueue::new());
-        let (handle, _rx) = spawn_loop(vec![], vec![(ours, Arc::clone(&queue))]);
+        let h = spawn_scripted::<Classed>(ProcessId::new(0), 2, fixed(vec![], vec![ours]), vec![]);
         let total = 500u32;
-        let pusher = {
-            let queue = Arc::clone(&queue);
-            let waker = Arc::clone(&handle.waker);
-            std::thread::spawn(move || {
+        std::thread::scope(|s| {
+            s.spawn(|| {
                 for v in 0..total {
-                    queue.enqueue(Classed(v));
-                    waker.wake();
+                    h.handle.send_command(to_p1([Classed(v)]));
                 }
-            })
-        };
-        let mut frames = FrameBuffer::new();
-        let mut got = vec![false; total as usize];
-        let mut seen = 0usize;
-        let mut chunk = [0u8; 4096];
-        while seen < total as usize {
-            let read = std::io::Read::read(&mut theirs, &mut chunk).unwrap();
-            assert!(read > 0, "stream closed early");
-            frames.extend(&chunk[..read]);
-            while let Some(t) = frames.next_frame::<TaggedOwned<Classed>>().unwrap() {
-                let idx = t.msg.0 as usize;
-                assert!(!got[idx], "duplicate frame {idx}");
-                got[idx] = true;
-                seen += 1;
+            });
+            let mut frames = FrameBuffer::new();
+            let mut got = vec![false; total as usize];
+            let mut seen = 0usize;
+            let mut chunk = [0u8; 4096];
+            while seen < total as usize {
+                let read = std::io::Read::read(&mut theirs, &mut chunk).unwrap();
+                assert!(read > 0, "stream closed early");
+                frames.extend(&chunk[..read]);
+                while let Some(t) = frames.next_frame::<TaggedOwned<Classed>>().unwrap() {
+                    let idx = t.msg.0 as usize;
+                    assert!(!got[idx], "duplicate frame {idx}");
+                    got[idx] = true;
+                    seen += 1;
+                }
             }
+        });
+        h.stop();
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_pauses_commands_but_not_the_other_peer() {
+        // Peer 1 never reads. Its socket fills, the writer parks, and the
+        // queue behind it grows to capacity: from then on the loop must
+        // leave commands waiting in the channel — and yet keep reading
+        // and handling peer 2's frames, and still stop promptly.
+        let (to_p1_ours, _p1_never_reads) = blocking_pair();
+        let (to_p2_ours, _p2_end) = blocking_pair();
+        let (p2_writes, from_p2_ours) = blocking_pair();
+        let topo = fixed(vec![from_p2_ours], vec![to_p1_ours, to_p2_ours]);
+        let h = spawn_scripted::<Classed>(ProcessId::new(0), 3, topo, vec![]);
+        // Each command sends 4096 small frames to peer 1: a few hundred
+        // commands are far more than socket buffers plus a full queue hold.
+        const COMMANDS: usize = 400;
+        for c in 0..COMMANDS {
+            let base = (c * 4096) as u32;
+            h.handle.send_command(to_p1((base..base + 4096).map(|v| Classed(v * 2))));
         }
-        pusher.join().unwrap();
-        handle.stop();
-        handle.join();
+        let admitted = |h: &Harness<Classed>, settle: StdDuration| {
+            let deadline = Instant::now() + settle;
+            let mut n = 0;
+            while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+                match h.outputs.recv_timeout(left) {
+                    Ok(o) if o.output == Seen::Command => n += 1,
+                    Ok(o) => panic!("unexpected output {:?}", o.output),
+                    Err(_) => break,
+                }
+            }
+            n
+        };
+        let first = admitted(&h, StdDuration::from_millis(500));
+        assert!(first > 0, "no command was admitted at all");
+        assert!(first < COMMANDS, "all {COMMANDS} commands admitted past a full queue");
+        // Still paused: the rest wait in the channel, not in the queue.
+        assert_eq!(admitted(&h, StdDuration::from_millis(200)), 0, "admission resumed while full");
+        // The other peer's frames are still read and handled.
+        let mut p2_writes = p2_writes;
+        write_frame(&Tagged { from: ProcessId::new(2), msg: &Classed(77) }, &mut p2_writes).unwrap();
+        assert_eq!(
+            h.next_frame(StdDuration::from_secs(5)),
+            Some((ProcessId::new(2), Classed(77))),
+            "a backlogged loop must keep handling the other peer's frames"
+        );
+        let t0 = Instant::now();
+        h.stop();
+        assert!(
+            t0.elapsed() < StdDuration::from_secs(2),
+            "shutdown must not wait for the backlog to a peer that never reads"
+        );
     }
 
     /// A classed frame sized for the short-write storm: odd ids ride the
@@ -1361,22 +1540,10 @@ mod tests {
             read_cap in 32usize..4096,
         ) {
             let (ours, mut theirs) = blocking_pair();
-            let queue: Arc<PeerQueue<Storm>> = Arc::new(PeerQueue::new());
-            // Fill before the loop starts so the storm is one huge batch.
-            for &v in &vals {
-                queue.enqueue(Storm(v));
-            }
-            ours.set_nonblocking(true).unwrap();
-            let (wake_tx, wake_rx) = wake_channel().unwrap();
-            let waker = Arc::new(Waker::new(wake_tx));
-            let handle = spawn(
-                ProcessId::new(3),
-                LoopTopology::fixed(vec![], vec![(ours, Arc::clone(&queue))]),
-                wake_rx,
-                waker,
-                |_, _: Storm| Ok(()),
-            );
-            handle.waker.wake();
+            // Sent from on_start, before the first drain: the storm is one
+            // huge batch.
+            let start = to_p1(vals.iter().map(|&v| Storm(v)));
+            let h = spawn_scripted(ProcessId::new(3), 4, fixed(vec![], vec![ours]), start);
             let mut frames = FrameBuffer::new();
             let mut got: Vec<u32> = Vec::new();
             let mut chunk = vec![0u8; read_cap];
@@ -1389,8 +1556,7 @@ mod tests {
                     got.push(t.msg.0);
                 }
             }
-            handle.stop();
-            handle.join();
+            h.stop();
             // Nothing extra arrived, and each lane is FIFO end to end.
             prop_assert_eq!(got.len(), vals.len());
             let lane = |seq: &[u32], odd: bool| -> Vec<u32> {

@@ -6,12 +6,12 @@
 //! * [`ThreadCluster`] — one OS thread per process, crossbeam channels as
 //!   links, wall-clock timers. In-process, zero configuration.
 //! * [`TcpCluster`] — length-prefixed frames over loop-back TCP sockets,
-//!   all I/O driven by **one event-loop thread per process** ([`poll`]
-//!   readiness, pooled buffers, decode-in-place). Exercises the real
-//!   codec path end to end.
+//!   **one thread per process**: an event loop that runs the node's
+//!   handlers and timers and all of its I/O ([`poll`] readiness, pooled
+//!   buffers, decode-in-place). Exercises the real codec path end to end.
 //! * [`ThreadedTcpCluster`] — the prior thread-per-connection transport
-//!   (`2·(n−1)` blocking I/O threads per process), kept as the control
-//!   arm of the `loopback_cluster` bench.
+//!   (a node thread plus `2·(n−1)` blocking I/O threads per process),
+//!   kept as the control arm of the `loopback_cluster` bench.
 //!
 //! All three drive any [`Node`](iabc_runtime::Node) implementation — the very
 //! same [`AbcastNode`](iabc_core::AbcastNode) state machines the simulator
@@ -25,7 +25,6 @@ pub mod pool;
 pub mod tcp;
 pub mod tcp_threaded;
 
-pub(crate) mod adapter;
 pub(crate) mod event_loop;
 pub(crate) mod queue;
 pub(crate) mod reconnect;
@@ -41,7 +40,8 @@ use iabc_types::{ProcessId, Time};
 /// An application output collected from a real-runtime node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetOutput<O> {
-    /// Wall-clock time since cluster start.
+    /// Wall-clock time since cluster start, on one clock for the whole
+    /// cluster: times from different processes compare.
     pub at: Time,
     /// The producing process.
     pub process: ProcessId,

@@ -110,6 +110,8 @@ impl Poller {
     }
 
     /// Waits up to `timeout` for any interested stream to become ready.
+    /// A sub-millisecond remainder rounds *up* to the next millisecond, so
+    /// an idle wait never returns before `timeout` has passed.
     ///
     /// `out` is resized to `streams.len()` and `out[i]` reports the
     /// readiness of `streams[i]`; entries with [`Interest::NONE`] are
@@ -157,7 +159,10 @@ impl Poller {
             std::thread::sleep(timeout);
             return Ok(0);
         }
-        let millis = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // poll(2) counts whole milliseconds: round up, so a deadline less
+        // than 1 ms out parks until it is due instead of spinning on a
+        // zero-timeout poll.
+        let millis = i32::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX);
         sys::poll(&mut self.fds, millis)?;
         let mut ready = 0;
         for (fd, &slot) in self.fds.iter().zip(&self.slots) {
@@ -243,14 +248,14 @@ mod sys {
     }
 }
 
-/// The write end of the event loop's wake channel. Shared by every node
-/// thread of a process (writes go through `&self`); a one-byte write
-/// nudges the loop out of [`Poller::wait`].
+/// The write end of the event loop's wake channel. Shared by every
+/// thread that rings the loop's doorbell (writes go through `&self`); a
+/// one-byte write nudges the loop out of [`Poller::wait`].
 ///
 /// On Linux this is the classic **self-pipe**: `pipe2(2)` with both ends
 /// nonblocking. A pipe write is several times cheaper than pushing a byte
-/// through the loop-back TCP stack, and the wake channel is the hottest
-/// syscall site of the transport — every first push after a drain pays it.
+/// through the loop-back TCP stack, and every command that finds the
+/// loop parked pays one.
 /// Elsewhere a nonblocking loop-back TCP pair stands in (std offers no
 /// portable pipe), trading some wake latency for zero platform code.
 #[derive(Debug)]
@@ -454,7 +459,7 @@ mod pipe_sys {
 
 /// Nonblocking write through a shared reference (`Write` is implemented
 /// for `&TcpStream`); same contract as [`try_write`]. For wakers, which
-/// are invoked concurrently from many node threads.
+/// may be invoked concurrently from many threads.
 ///
 /// # Errors
 ///
@@ -648,6 +653,29 @@ mod tests {
             .unwrap();
         assert!(n >= 1 && out[0].writable, "drained peer must re-arm the writer");
         assert!(try_write(&mut a, b"y").unwrap().is_some());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_sub_millisecond_wait_on_an_idle_poller_does_not_return_early() {
+        // A 300 us deadline must not truncate to a zero-timeout poll: the
+        // event loop caps its park at the next timer, and a truncated
+        // timeout would spin it until the timer is due.
+        let (_a, b) = pair();
+        let mut poller = Poller::new();
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            let t0 = std::time::Instant::now();
+            let n = poller
+                .wait(&[(&b, Interest::READ)], &mut out, Duration::from_micros(300))
+                .unwrap();
+            assert_eq!(n, 0, "idle stream reported ready");
+            assert!(
+                t0.elapsed() >= Duration::from_micros(300),
+                "returned after {:?}, before the 300 us timeout",
+                t0.elapsed()
+            );
+        }
     }
 
     #[test]

@@ -1,14 +1,26 @@
 //! The two-lane bounded outbound queue of one peer connection.
 //!
-//! Shared by both TCP transports: the event-driven [`crate::tcp`] loop
-//! drains it nonblockingly ([`PeerQueue::try_take_batch`]), the
-//! thread-per-connection control [`crate::tcp_threaded`] parks a flusher
-//! thread on it ([`PeerQueue::next_batch`]). Pushes are cheap (append
-//! under a mutex) but **bounded**: past the capacity the pusher blocks
-//! until the drainer catches up — the transport's backpressure, reaching
-//! the node thread exactly as the old one-write-per-frame path did via a
-//! full TCP buffer. Draining always takes *everything* pending in one
-//! batch, ordering lane first.
+//! Shared by both TCP transports. The event-driven [`crate::tcp`] loop
+//! is the queue's only pusher *and* only drainer: its hosted node pushes
+//! with [`PeerQueue::push_nowait`] and the same pass drains with
+//! [`PeerQueue::try_take_batch`]. The thread-per-connection control
+//! [`crate::tcp_threaded`] pushes from node threads with the blocking
+//! [`PeerQueue::enqueue`] and parks a flusher thread on
+//! [`PeerQueue::next_batch`]. Draining always takes *everything* pending
+//! in one batch, ordering lane first.
+//!
+//! # Backpressure
+//!
+//! The queue is **bounded** at [`MAX_OUTBOUND_FRAMES`], but how the bound
+//! bites depends on who pushes. A threaded pusher blocks until the
+//! flusher catches up — backpressure reaching the node thread exactly as
+//! the old one-write-per-frame path did via a full TCP buffer. The event
+//! loop must never wait on its own queue (nobody else would ever drain
+//! it), so `push_nowait` always accepts and the loop enforces the bound
+//! one level up: while any connected queue [`PeerQueue::is_full`], it
+//! admits no new application commands, and keeps reading sockets and
+//! firing timers so that neither side of a slow pair stops draining the
+//! other.
 //!
 //! # Lock discipline
 //!
@@ -20,9 +32,9 @@
 //! Drainers take the lock only to swap the batch out, drop the guard, and
 //! encode/write from buffers they own. Condvar waits release the lock for
 //! the duration of the wait and are the one sanctioned way to block with a
-//! guard in scope — and they exist only on the *threaded* paths (`push`,
-//! `next_batch`); the event loop's `try_take_batch` never waits, which
-//! lint rule `E1` checks mechanically.
+//! guard in scope — and they exist only on the *threaded* paths
+//! (`enqueue`, `next_batch`); the event loop's `push_nowait` and
+//! `try_take_batch` never wait, which lint rule `E1` checks mechanically.
 //!
 //! Lock poisoning is recovered, not propagated: the queue state (two
 //! deques and a flag) is valid after any partial mutation, and a panic in
@@ -34,11 +46,12 @@ use std::sync::{Condvar, Mutex};
 
 use iabc_types::{TrafficClass, WireSize};
 
-/// Maximum frames a [`PeerQueue`] holds across both lanes before `push`
-/// blocks the sending node thread. The old one-write-per-frame path got
-/// backpressure for free (the node thread blocked once the peer's TCP
-/// receive buffer filled); the queue must re-establish it, or a slow peer
-/// turns into unbounded sender-side memory growth under exactly the
+/// Frames a [`PeerQueue`] holds across both lanes before it counts as
+/// full: [`PeerQueue::enqueue`] blocks the sending node thread, and the
+/// event loop stops admitting commands. The old one-write-per-frame path
+/// got backpressure for free (the node thread blocked once the peer's
+/// TCP receive buffer filled); the queue must re-establish it, or a slow
+/// peer turns into unbounded sender-side memory growth under exactly the
 /// payload-flood workloads this repo benches.
 pub(crate) const MAX_OUTBOUND_FRAMES: usize = 16 * 1024;
 
@@ -47,7 +60,7 @@ pub(crate) const MAX_OUTBOUND_FRAMES: usize = 16 * 1024;
 /// frames (consensus rounds, acks, frontiers) are retained up to the full
 /// queue capacity — they are what lets the pair converge after the link
 /// heals — while payload floods degrade gracefully instead of either
-/// blocking the node thread against a dead link or growing without bound.
+/// blocking the pusher against a dead link or growing without bound.
 /// Shed payloads are re-delivered by the protocol layer (catch-up plus
 /// the sender's pending-set re-flood), not the transport.
 pub(crate) const DOWN_BULK_WATERMARK: usize = 1024;
@@ -56,7 +69,8 @@ pub(crate) const DOWN_BULK_WATERMARK: usize = 1024;
 pub(crate) struct PeerQueue<M> {
     state: Mutex<PeerQueueState<M>>,
     /// Signalled when work arrives or the queue closes (threaded flushers
-    /// wait here; the event loop uses its wake channel instead).
+    /// wait here; the event loop drains its queues in the pass that
+    /// filled them).
     ready: Condvar,
     /// Signalled when a drain frees space or the queue closes (pushers
     /// blocked on a full queue wait here).
@@ -130,8 +144,38 @@ impl<M: WireSize> PeerQueue<M> {
         while !s.closed && !s.down && s.len() >= self.capacity {
             s = self.space.wait(s).unwrap_or_else(|e| e.into_inner());
         }
+        if self.admit(&mut s, msg) {
+            drop(s);
+            self.ready.notify_one();
+        }
+    }
+
+    /// Enqueues one message without ever waiting — the event loop's push,
+    /// which must not block on a queue only it drains. While connected
+    /// the message is always kept, even past capacity (a connected link
+    /// loses nothing); the loop bounds the backlog by pausing command
+    /// admission while [`PeerQueue::is_full`]. Closed and down-mode
+    /// queues behave as in [`PeerQueue::enqueue`].
+    pub(crate) fn push_nowait(&self, msg: M) {
+        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        self.admit(&mut s, msg);
+    }
+
+    /// Whether a connected queue holds its capacity or more: the point at
+    /// which [`PeerQueue::enqueue`] blocks and the event loop stops
+    /// admitting commands. Closed and down-mode queues never count as
+    /// full — nothing will drain them sooner by waiting.
+    pub(crate) fn is_full(&self) -> bool {
+        let s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        !s.closed && !s.down && s.len() >= self.capacity
+    }
+
+    /// Files `msg` into its lane under the lock. Returns whether it landed
+    /// on the connected path (the only case a parked drainer needs to
+    /// hear about): closed queues drop it, down-mode queues park or shed.
+    fn admit(&self, s: &mut PeerQueueState<M>, msg: M) -> bool {
         if s.closed {
-            return;
+            return false;
         }
         if s.down {
             match msg.traffic_class() {
@@ -150,14 +194,13 @@ impl<M: WireSize> PeerQueue<M> {
                     }
                 }
             }
-            return;
+            return false;
         }
         match msg.traffic_class() {
             TrafficClass::Ordering => s.ordering.push_back(msg),
             TrafficClass::Bulk => s.bulk.push_back(msg),
         }
-        drop(s);
-        self.ready.notify_one();
+        true
     }
 
     /// Marks the queue closed and wakes everyone (drainers and any pushers
@@ -170,8 +213,8 @@ impl<M: WireSize> PeerQueue<M> {
 
     /// Flips down-mode (see [`PeerQueue::enqueue`]). Entering down-mode
     /// releases any pusher blocked on a full queue — there is no drainer
-    /// left to make space, so blocking it would wedge the node thread for
-    /// as long as the peer stays gone. Leaving down-mode resumes normal
+    /// left to make space, so blocking it would wedge the pusher for as
+    /// long as the peer stays gone. Leaving down-mode resumes normal
     /// backpressure; parked frames drain with the next batch.
     pub(crate) fn set_link_down(&self, down: bool) {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).down = down;
@@ -367,6 +410,34 @@ pub(crate) mod tests {
         assert_eq!(q.try_take_batch(&mut batch), BatchStatus::Took);
         assert_eq!(batch.iter().map(|c| c.0).collect::<Vec<_>>(), vec![1, 3, 2, 4, 6]);
         assert_eq!(q.shed_count(), 0);
+    }
+
+    #[test]
+    fn push_nowait_keeps_every_frame_past_capacity_and_reports_full() {
+        // The event loop's push never waits and never drops on a
+        // connected link; fullness is a signal for the loop, not a wall.
+        let q: PeerQueue<Classed> = PeerQueue::with_capacity(4);
+        for v in 0..3 {
+            q.push_nowait(Classed(v));
+        }
+        assert!(!q.is_full());
+        for v in 3..7 {
+            q.push_nowait(Classed(v));
+        }
+        assert!(q.is_full());
+        let mut batch = Vec::new();
+        assert_eq!(q.try_take_batch(&mut batch), BatchStatus::Took);
+        assert_eq!(batch.len(), 7, "nothing shed while connected");
+        assert!(!q.is_full());
+        // Down-mode and closed queues never count as full.
+        for v in 0..8 {
+            q.push_nowait(Classed(v));
+        }
+        q.set_link_down(true);
+        assert!(!q.is_full());
+        q.set_link_down(false);
+        q.close();
+        assert!(!q.is_full());
     }
 
     #[test]

@@ -1,75 +1,72 @@
-//! TCP cluster: nodes connected by loop-back TCP sockets, all I/O driven
-//! by one event loop per process.
+//! TCP cluster: nodes connected by loop-back TCP sockets, each process
+//! one thread — an event loop that runs the node and all of its I/O.
 //!
-//! Every node runs the same loop as the thread cluster, but links are real
-//! sockets and messages travel through the wire codec — the closest
-//! in-process analogue of the paper's cluster deployment.
+//! Links are real sockets and messages travel through the wire codec —
+//! the closest in-process analogue of the paper's cluster deployment.
 //!
-//! # The I/O architecture: one nonblocking loop per process
+//! # The architecture: one thread per process
 //!
-//! A node thread never touches a socket. Each process owns a single
-//! [`crate::event_loop`] thread that drives all of its `2·(n−1)` streams
+//! Each process is a single [`crate::event_loop`] thread, `iabc-io-<p>`.
+//! It hosts the process's node and drives all of its `2·(n−1)` streams
 //! through a `poll(2)`-based readiness loop ([`crate::poll`]):
 //!
-//! * **Outbound**: `Send` actions enqueue into the peer's two-lane
-//!   [`crate::queue::PeerQueue`] and wake the loop (one coalesced wake per
-//!   action batch). The loop drains each queue — ordering frames ahead of
-//!   bulk — encodes the batch into pooled scratch and pushes it with a
-//!   single vectored write; partial writes park the remainder and re-arm
-//!   writability. Under load this coalesces many frames per syscall and
-//!   keeps consensus traffic from queueing behind payload floods inside
-//!   the transport, mirroring the simulator's priority lane.
 //! * **Inbound**: sockets read straight into pooled receive buffers and
 //!   frames decode **in place** from those bytes
-//!   ([`iabc_types::Decode::decode_in_place`]), going to the node's input
-//!   channel with no re-assembly copy and no relay thread.
+//!   ([`iabc_types::Decode::decode_in_place`]), then go to the node's
+//!   `on_message` on the same thread — no channel, no wake-up, no copy.
+//! * **Outbound**: the node's `Send` actions enqueue into the peer's
+//!   two-lane [`crate::queue::PeerQueue`], and the same pass drains each
+//!   queue — ordering frames ahead of bulk — encodes the batch into
+//!   pooled scratch and pushes it with a single vectored write; partial
+//!   writes park the remainder and re-arm writability. Under load this
+//!   coalesces many frames per syscall and keeps consensus traffic from
+//!   queueing behind payload floods inside the transport, mirroring the
+//!   simulator's priority lane. Self-sends never leave the loop.
+//! * **Timers and commands**: the loop keeps the node's timers in a heap
+//!   and sleeps in `poll` no longer than the next is due; application
+//!   commands arrive over a channel whose doorbell wakes the loop.
 //!
-//! The previous architecture — a blocking reader thread per connection
-//! plus a flusher thread per peer, `2·(n−1)` I/O threads per process —
-//! survives as [`crate::tcp_threaded::ThreadedTcpCluster`], the
-//! measured control for the `loopback_cluster` bench.
+//! The earlier architectures survive as controls: the node-on-a-thread,
+//! blocking-reader-and-flusher transport
+//! ([`crate::tcp_threaded::ThreadedTcpCluster`], `2·(n−1)` I/O threads per
+//! process) is the measured control of the `loopback_cluster` bench.
 //!
 //! # Lock discipline
 //!
 //! All transport locking lives in [`crate::queue`] (one mutex per peer
-//! queue, no I/O under a guard — see its module docs) and
-//! [`crate::pool`]. The event loop itself never blocks: lint rule `E1`
-//! mechanically enforces that its module set reaches the kernel only
-//! through the sanctioned nonblocking shims in [`crate::poll`].
+//! queue, uncontended here because the loop is its only user, no I/O
+//! under a guard — see its module docs) and [`crate::pool`]. The event
+//! loop never blocks on the network: lint rule `E1` mechanically enforces
+//! that its module set reaches the kernel only through the sanctioned
+//! nonblocking shims in [`crate::poll`] — apart from a durable store's
+//! file I/O inside the node's handlers.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Instant;
 
+use crossbeam::channel::{unbounded, Receiver};
 use iabc_runtime::Node;
 use iabc_types::{Decode, Encode, ProcessId};
 
-use crate::adapter::{MsgOverTcp, OutboundMesh};
-use crate::cluster::ThreadCluster;
-use crate::event_loop::{self, EventLoopHandle, LoopTopology, OutboundLink, Waker};
+use crate::cluster::collect_outputs;
+use crate::event_loop::{self, EventLoopHandle, Hosted, LoopTopology, OutboundLink};
 use crate::netfault::{NetFaultPlan, NetFaultReport, NetFaultStats};
-use crate::poll::wake_channel;
-use crate::queue::PeerQueue;
-
-/// Per-process outbound links (connected stream + feeding queue + the
-/// peer's reconnect address), handed to that process's event loop.
-type WriterConns<M> = Vec<Vec<OutboundLink<M>>>;
 use crate::NetOutput;
 
 /// A mesh of loop-back TCP connections between `n` local "processes",
-/// with one event-driven I/O thread per process.
+/// each one event-loop thread that runs its node and all of its I/O.
 ///
-/// Internally each process still runs its node on a thread (this is a
-/// test/demo vehicle, not a deployment platform), but every message
+/// A test/demo vehicle, not a deployment platform — but every message
 /// crosses a real socket through the wire codec, so the full
 /// encode → TCP → decode-in-place path is exercised.
 pub struct TcpCluster<N: Node>
 where
     N::Msg: Encode,
 {
-    inner: ThreadCluster<MsgOverTcp<N>>,
-    outbound: OutboundMesh<N::Msg>,
-    io_loops: Vec<EventLoopHandle>,
+    io_loops: Vec<EventLoopHandle<N::Command>>,
+    outputs: Receiver<NetOutput<N::Output>>,
     fault_stats: Vec<Arc<NetFaultStats>>,
 }
 
@@ -82,7 +79,7 @@ where
 {
     /// Binds `n` loop-back listeners, connects the full mesh (blocking
     /// handshakes, so the cluster is fully wired before this returns),
-    /// and starts the node threads and per-process event loops.
+    /// and starts one event loop per process, hosting its node.
     ///
     /// # Panics
     ///
@@ -124,59 +121,29 @@ where
             // lint:allow(P1): bootstrap, documented panic, no remote input yet
             listeners.iter().map(|l| l.local_addr().expect("local addr")).collect();
 
-        // One wake channel + waker per process, created up front: the node
-        // adapters (built by ThreadCluster::start) and the event loops
-        // (spawned last) share them.
-        let mut wake_rxs = Vec::with_capacity(n);
-        let mut wakers: Vec<Arc<Waker>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            // lint:allow(P1): bootstrap wake channel, documented panic, no remote input yet
-            let (tx, rx) = wake_channel().expect("wake channel");
-            wake_rxs.push(rx);
-            wakers.push(Arc::new(Waker::new(tx)));
-        }
-
-        // Outbound side: from i to j (i != j), a connected stream plus the
-        // queue that feeds it, owned by process i's event loop.
-        let mut outbound: OutboundMesh<N::Msg> = (0..n).map(|_| vec![]).collect();
-        let mut writer_conns: WriterConns<N::Msg> = (0..n).map(|_| vec![]).collect();
-        for (i, row) in outbound.iter_mut().enumerate() {
+        // Outbound side: from i to j (i != j), a connected stream owned by
+        // process i's event loop.
+        let mut outbound: Vec<Vec<OutboundLink>> = (0..n).map(|_| vec![]).collect();
+        for (i, links) in outbound.iter_mut().enumerate() {
             for (j, addr) in addrs.iter().enumerate() {
                 if i == j {
-                    row.push(None);
-                } else {
-                    // lint:allow(P1): bootstrap connect, documented panic, no remote input yet
-                    let mut stream = TcpStream::connect(addr).expect("connect to peer");
-                    // lint:allow(P1): bootstrap, documented panic, no remote input yet
-                    stream.set_nodelay(true).expect("nodelay");
-                    // Identify ourselves so the acceptor can route. Written
-                    // while the stream is still blocking — the handshake is
-                    // part of the start barrier.
-                    // lint:allow(P1): bootstrap handshake, documented panic, no remote input yet — lint:allow(W2): i < n and start() asserts n fits in u16
-                    stream.write_all(&(i as u16).to_le_bytes()).expect("handshake");
-                    // lint:allow(P1): bootstrap, documented panic, no remote input yet
-                    stream.set_nonblocking(true).expect("nonblocking");
-                    let queue = Arc::new(PeerQueue::new());
-                    writer_conns[i].push(OutboundLink {
-                        // lint:allow(W2): j < n and start() asserts n fits in u16
-                        peer: ProcessId::new(j as u16),
-                        addr: Some(*addr),
-                        stream,
-                        queue: Arc::clone(&queue),
-                    });
-                    row.push(Some(queue));
+                    continue;
                 }
+                // lint:allow(P1): bootstrap connect, documented panic, no remote input yet
+                let mut stream = TcpStream::connect(addr).expect("connect to peer");
+                // lint:allow(P1): bootstrap, documented panic, no remote input yet
+                stream.set_nodelay(true).expect("nodelay");
+                // Identify ourselves so the acceptor can route. Written
+                // while the stream is still blocking — the handshake is
+                // part of the start barrier.
+                // lint:allow(P1): bootstrap handshake, documented panic, no remote input yet — lint:allow(W2): i < n and start() asserts n fits in u16
+                stream.write_all(&(i as u16).to_le_bytes()).expect("handshake");
+                // lint:allow(P1): bootstrap, documented panic, no remote input yet
+                stream.set_nonblocking(true).expect("nonblocking");
+                // lint:allow(W2): j < n and start() asserts n fits in u16
+                links.push(OutboundLink { peer: ProcessId::new(j as u16), addr: Some(*addr), stream });
             }
         }
-
-        let writers_for_nodes = outbound.clone();
-        let wakers_for_nodes = wakers.clone();
-        let inner = ThreadCluster::start(n, move |p| MsgOverTcp {
-            node: factory(p),
-            me: p,
-            writers: writers_for_nodes[p.as_usize()].clone(),
-            waker: Some(Arc::clone(&wakers_for_nodes[p.as_usize()])),
-        });
 
         // Inbound side: accept n-1 connections per listener (blocking — the
         // start barrier again), read the 2-byte sender handshake, then flip
@@ -200,17 +167,19 @@ where
             inbound_conns.push(accepted);
         }
 
-        // Spawn the event loops last, now that the node threads exist to
-        // inject into. Each loop keeps its process's listener (flipped
-        // nonblocking) so severed peers can redial mid-run.
+        // One clock for the whole cluster, started before the first node
+        // is built: `NetOutput::at` compares across processes.
+        let epoch = Instant::now();
+        let (out_tx, outputs) = unbounded();
+        // Each loop keeps its process's listener (flipped nonblocking) so
+        // severed peers can redial mid-run.
         let mut io_loops = Vec::with_capacity(n);
         let mut fault_stats = Vec::with_capacity(n);
-        for (j, ((inbound, writers), listener)) in
-            inbound_conns.into_iter().zip(writer_conns).zip(listeners).enumerate()
+        for (j, ((inbound, links), listener)) in
+            inbound_conns.into_iter().zip(outbound).zip(listeners).enumerate()
         {
             // lint:allow(W2): j < n and start() asserts n fits in u16
             let me = ProcessId::new(j as u16);
-            let inject = inner.message_injector(me);
             // lint:allow(P1): bootstrap, documented panic, no remote input yet
             listener.set_nonblocking(true).expect("nonblocking listener");
             let stats = Arc::new(NetFaultStats::default());
@@ -220,17 +189,15 @@ where
                 LoopTopology {
                     listener: Some(listener),
                     inbound,
-                    outbound: writers,
+                    outbound: links,
                     faults: faults.clone(),
                     stats,
                 },
-                wake_rxs.remove(0),
-                Arc::clone(&wakers[j]),
-                inject,
+                Hosted { node: factory(me), n, epoch, outputs: out_tx.clone() },
             ));
         }
 
-        TcpCluster { inner, outbound, io_loops, fault_stats }
+        TcpCluster { io_loops, outputs, fault_stats }
     }
 
     /// Per-process fault/reconnect counter snapshots (indexed by process
@@ -239,14 +206,16 @@ where
         self.fault_stats.iter().map(|s| s.report()).collect()
     }
 
-    /// Sends an application command to process `p`.
+    /// Sends an application command to process `p`. Its loop admits it on
+    /// the next pass — unless one of `p`'s outbound queues is full, in
+    /// which case the command waits until that backlog drains.
     pub fn send_command(&self, p: ProcessId, cmd: N::Command) {
-        self.inner.send_command(p, cmd);
+        self.io_loops[p.as_usize()].send_command(cmd);
     }
 
     /// Collects outputs for (wall-clock) `dur`.
     pub fn run_for(&mut self, dur: std::time::Duration) -> Vec<NetOutput<N::Output>> {
-        self.inner.run_for(dur)
+        collect_outputs(&self.outputs, usize::MAX, dur)
     }
 
     /// Collects outputs until `count` have arrived or `timeout` elapses —
@@ -257,28 +226,13 @@ where
         count: usize,
         timeout: std::time::Duration,
     ) -> Vec<NetOutput<N::Output>> {
-        self.inner.wait_for_outputs(count, timeout)
+        collect_outputs(&self.outputs, count, timeout)
     }
 
-    /// Stops node threads, event loops, and sockets. Never hangs on a
+    /// Stops every process: each loop makes one last nonblocking flush
+    /// pass, shuts its sockets down and drops its node. Never hangs on a
     /// dead peer: outbound backlog is flushed best-effort, not awaited.
     pub fn shutdown(self) {
-        // Closing the queues stops new frames and lets each loop drain its
-        // backlog; the wakes make that prompt.
-        for row in &self.outbound {
-            for q in row.iter().flatten() {
-                q.close();
-            }
-        }
-        for l in &self.io_loops {
-            l.waker.wake();
-        }
-        // Node threads stop next — a node blocked in a backpressure push
-        // was released by the close above.
-        self.inner.shutdown();
-        // Finally the loops: one last nonblocking flush pass, then the
-        // sockets come down. Bounded by a poll tick even if a peer's
-        // socket went silent without closing.
         for l in &self.io_loops {
             l.stop();
         }
@@ -291,8 +245,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iabc_runtime::Context;
-    use iabc_types::{CodecError, TrafficClass, WireSize};
+    use crate::event_loop::TICK;
+    use iabc_runtime::{Context, TimerId};
+    use iabc_types::{CodecError, Time, TrafficClass, WireSize};
+    use std::time::Duration;
 
     #[derive(Clone, Debug, PartialEq)]
     struct Num(u32);
@@ -329,7 +285,7 @@ mod tests {
     fn fanout_over_tcp() {
         let mut cluster = TcpCluster::start(3, |_| Echo);
         cluster.send_command(ProcessId::new(1), 77);
-        let outs = cluster.wait_for_outputs(3, std::time::Duration::from_secs(5));
+        let outs = cluster.wait_for_outputs(3, Duration::from_secs(5));
         assert_eq!(outs.len(), 3, "all three processes must receive the fanout");
         assert!(outs.iter().all(|o| o.output == (ProcessId::new(1), 77)));
         cluster.shutdown();
@@ -380,8 +336,119 @@ mod tests {
         for v in 0..20u32 {
             cluster.send_command(ProcessId::new((v % 3) as u16), v);
         }
-        let outs = cluster.wait_for_outputs(20 * 3, std::time::Duration::from_secs(10));
+        let outs = cluster.wait_for_outputs(20 * 3, Duration::from_secs(10));
         assert_eq!(outs.len(), 20 * 3, "every classed frame must reach all processes");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn timers_fire_on_wall_clock() {
+        struct Alarm;
+        impl Node for Alarm {
+            type Msg = Num;
+            type Command = ();
+            type Output = u64;
+            fn on_start(&mut self, ctx: &mut Context<Num, u64>) {
+                ctx.set_timer(iabc_types::Duration::from_millis(20), TimerId::new(1, 5));
+            }
+            fn on_timer(&mut self, t: TimerId, ctx: &mut Context<Num, u64>) {
+                ctx.output(t.data());
+            }
+        }
+        let mut cluster = TcpCluster::start(2, |_| Alarm);
+        let outs = cluster.wait_for_outputs(2, Duration::from_secs(5));
+        assert_eq!(outs.len(), 2, "every process's timer must fire");
+        for o in &outs {
+            assert_eq!(o.output, 5);
+            // The epoch precedes on_start, so a timer can only be early if
+            // the loop fired it early.
+            assert!(o.at >= Time::from_nanos(20_000_000), "fired too early: {:?}", o.at);
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_command_to_an_idle_loop_is_handled_well_within_a_tick() {
+        // The doorbell must pull a parked loop out of poll at once, not
+        // at the end of its TICK-long sleep.
+        let mut cluster = TcpCluster::start(2, |_| Echo);
+        let mut fastest = Duration::MAX;
+        for round in 0..5u32 {
+            std::thread::sleep(Duration::from_millis(100));
+            let t0 = Instant::now();
+            cluster.send_command(ProcessId::new(0), round);
+            // The self-delivery: output on the same pass as the command.
+            let outs = cluster.wait_for_outputs(1, Duration::from_secs(5));
+            assert_eq!(outs.len(), 1);
+            fastest = fastest.min(t0.elapsed());
+            cluster.wait_for_outputs(1, Duration::from_secs(5));
+        }
+        assert!(fastest < TICK / 2, "idle loop took {fastest:?} to handle a command");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn self_sends_are_delivered() {
+        // A chain of self-sends never touches a socket: each one must
+        // still reach on_message, from the sender itself.
+        struct Countdown;
+        impl Node for Countdown {
+            type Msg = Num;
+            type Command = u32;
+            type Output = (ProcessId, u32);
+            fn on_command(&mut self, k: u32, ctx: &mut Context<Num, (ProcessId, u32)>) {
+                ctx.send(ctx.me(), Num(k));
+            }
+            fn on_message(&mut self, from: ProcessId, m: Num, ctx: &mut Context<Num, (ProcessId, u32)>) {
+                ctx.output((from, m.0));
+                if m.0 > 0 {
+                    ctx.send(ctx.me(), Num(m.0 - 1));
+                }
+            }
+        }
+        let mut cluster = TcpCluster::start(2, |_| Countdown);
+        cluster.send_command(ProcessId::new(1), 5);
+        let outs = cluster.wait_for_outputs(6, Duration::from_secs(5));
+        let got: Vec<(ProcessId, u32)> = outs.iter().map(|o| o.output).collect();
+        let me = ProcessId::new(1);
+        assert_eq!(got, (0..=5).rev().map(|k| (me, k)).collect::<Vec<_>>());
+        assert!(outs.iter().all(|o| o.process == me));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn output_times_share_one_epoch_across_processes() {
+        // A token relayed around the ring: every hop is caused by the one
+        // before it, on another process. With one epoch for the cluster
+        // the stamps can only grow along the chain; per-process clocks
+        // would let a later hop carry an earlier time.
+        struct Ring;
+        impl Node for Ring {
+            type Msg = Num;
+            type Command = u32;
+            type Output = u32;
+            fn on_command(&mut self, hops: u32, ctx: &mut Context<Num, u32>) {
+                ctx.send(ctx.me(), Num(hops));
+            }
+            fn on_message(&mut self, _: ProcessId, m: Num, ctx: &mut Context<Num, u32>) {
+                ctx.output(m.0);
+                if m.0 > 0 {
+                    let next = ProcessId::new(((ctx.me().as_usize() + 1) % ctx.n()) as u16);
+                    ctx.send(next, Num(m.0 - 1));
+                }
+            }
+        }
+        const HOPS: u32 = 30;
+        let mut cluster = TcpCluster::start(3, |_| Ring);
+        cluster.send_command(ProcessId::new(0), HOPS);
+        let outs = cluster.wait_for_outputs(HOPS as usize + 1, Duration::from_secs(5));
+        assert_eq!(outs.len(), HOPS as usize + 1, "the token must make every hop");
+        let mut chain: Vec<(u32, Time, ProcessId)> =
+            outs.iter().map(|o| (o.output, o.at, o.process)).collect();
+        chain.sort_by_key(|&(left, _, _)| std::cmp::Reverse(left));
+        for w in chain.windows(2) {
+            assert!(w[0].1 <= w[1].1, "hop {:?} stamped before its cause {:?}", w[1], w[0]);
+        }
         cluster.shutdown();
     }
 
@@ -393,7 +460,7 @@ mod tests {
         for round in 0..2u32 {
             let mut cluster = TcpCluster::start(2, |_| Echo);
             cluster.send_command(ProcessId::new(0), round);
-            let outs = cluster.wait_for_outputs(2, std::time::Duration::from_secs(5));
+            let outs = cluster.wait_for_outputs(2, Duration::from_secs(5));
             assert_eq!(outs.len(), 2);
             cluster.shutdown();
         }
